@@ -16,11 +16,9 @@ from .bounds import (
 )
 from .fracsolve import (
     AgentModel,
-    GLCoefficientTable,
     SolverParams,
     Trajectory,
     caputo_of_monomial,
-    gamma_value,
     gl_caputo_estimate,
     gl_coefficients,
     simulate,

@@ -108,6 +108,15 @@ def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:
     return (math.pi / (2.0 * delay)) ** order / (2.0 * dmax)
 
 
+def gain_samples(gain_min: float, gain_max: float, samples: int) -> list[float]:
+    """``samples`` evenly spaced gains from ``gain_min`` to ``gain_max``."""
+    if not 0.0 < gain_min < gain_max:
+        raise ValueError(f"need 0 < gain_min < gain_max, got ({gain_min}, {gain_max})")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    return np.linspace(gain_min, gain_max, samples).tolist()
+
+
 def gain_delay_curve(
     g: Digraph,
     order: float,
@@ -119,12 +128,8 @@ def gain_delay_curve(
 
     The returned delay column is strictly decreasing in the gain.
     """
-    if not 0.0 < gain_min < gain_max:
-        raise ValueError(f"need 0 < gain_min < gain_max, got ({gain_min}, {gain_max})")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    gains = np.linspace(gain_min, gain_max, samples)
-    return [(float(gamma), degree_delay_bound(g, float(gamma), order)) for gamma in gains]
+    return [(gamma, degree_delay_bound(g, gamma, order))
+            for gamma in gain_samples(gain_min, gain_max, samples)]
 
 
 def mixed_order_delay_bound(g: Digraph, gain: float, orders) -> tuple[float, float]:

@@ -28,12 +28,8 @@ def _emit(text: str, out_path) -> None:
         sc.atomic_write_text(out_path, text)
 
 
-def _load(path):
-    return sc.parse_scenario(path)
-
-
 def cmd_simulate(args) -> int:
-    scen = _load(args.scenario)
+    scen = sc.parse_scenario(args.scenario)
     traj, result = sc.run_scenario(scen)
     buf = io.StringIO()
     sc.write_trajectory_csv(traj, buf, stride=args.stride)
@@ -56,7 +52,7 @@ def _scenario_bound_report(scen) -> bounds.BoundReport:
 
 
 def cmd_bound(args) -> int:
-    scen = _load(args.scenario)
+    scen = sc.parse_scenario(args.scenario)
     report = _scenario_bound_report(scen)
     skipped = dict(report.skipped)
     lines = [
@@ -81,7 +77,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    scen = _load(args.scenario)
+    scen = sc.parse_scenario(args.scenario)
     cert = freqcert.certify(scen.graph, scen.agents, scen.gain)
     print("criterion values (per agent):",
           " ".join(f"{v:.6g}" for v in cert.criterion_values))
@@ -98,13 +94,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    scen = _load(args.scenario)
-    orders = sorted(set(a.order for a in scen.agents))
-    gammas = [g for g, _ in bounds.gain_delay_curve(
-        scen.graph, orders[0], args.gamma_min, args.gamma_max, args.samples)]
+    scen = sc.parse_scenario(args.scenario)
+    orders = [a.order for a in scen.agents]
     pairs = [
-        (gamma, min(bounds.degree_delay_bound(scen.graph, gamma, order) for order in orders))
-        for gamma in gammas
+        (gamma, bounds.mixed_order_delay_bound(scen.graph, gamma, orders)[0])
+        for gamma in bounds.gain_samples(args.gamma_min, args.gamma_max, args.samples)
     ]
     buf = io.StringIO()
     sc.write_curve_csv(pairs, buf)
@@ -113,7 +107,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    scen = _load(args.scenario)
+    scen = sc.parse_scenario(args.scenario)
     tau = sc.bisect_critical_delay(
         scen,
         args.tau_lo,
@@ -160,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-lo", type=float, required=True, help="delay that converges")
     p.add_argument("--tau-hi", type=float, required=True, help="delay that does not")
     p.add_argument("--tol", type=float, default=0.01, help="bracket width target")
-    p.add_argument("--converged-tol", type=float, default=1e-2,
+    p.add_argument("--converged-tol", type=float, default=sc.CONVERGED_TOL,
                    help="spread threshold for the convergence test")
     p.set_defaults(func=cmd_critical)
 
@@ -183,3 +177,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

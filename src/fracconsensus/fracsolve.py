@@ -8,9 +8,11 @@ Grunwald-Letnikov scheme applied to ``x(t) - x(0)``: on a uniform grid
     D^alpha x(t_K) ~= h**(-alpha) * sum_{j=0..K} c_j * (x(t_{K-j}) - x(0)),
 
 with binomial weights ``c_j = (-1)**j * C(alpha, j)``. Solving the step
-equation for the newest sample gives the explicit update used by
-``simulate``. For ``alpha = 1`` the weights collapse to ``(1, -1, 0, ...)``
-and the scheme is exactly forward Euler.
+equation for the newest sample gives the explicit update that ``simulate``
+applies to every agent. For ``alpha = 1`` the recurrence gives
+``c_2 = 0`` exactly, so the weights end at ``c_1 = -1`` and the same update
+is forward Euler: integer-order agents are the ``alpha = 1`` case, not a
+separate code path.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ if TYPE_CHECKING:
 class AgentModel:
     """One agent: 1-based id, derivative order in (0, 1], delay in seconds.
 
-    ``order == 1`` marks an integer-order agent; anything below 1 is
-    integrated with the fractional memory scheme.
+    ``order == 1`` marks an integer-order agent; every order goes through
+    the same Grunwald-Letnikov update in ``simulate``.
     """
 
     id: int
@@ -44,14 +46,6 @@ class AgentModel:
             raise ValueError(f"agent {self.id}: order must lie in (0, 1], got {self.order}")
         if not (math.isfinite(self.delay) and self.delay >= 0.0):
             raise ValueError(f"agent {self.id}: delay must be finite and >= 0, got {self.delay}")
-
-
-@dataclass(frozen=True, eq=False)
-class GLCoefficientTable:
-    """Binomial weights ``c_0 .. c_K`` for one derivative order."""
-
-    order: float
-    coefficients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,8 @@ class Trajectory:
             raise ValueError("states and times disagree on the number of samples")
 
 
-def gl_coefficients(order: float, count: int) -> GLCoefficientTable:
-    """Weights ``c_0 .. c_count`` with ``c_j = (-1)**j * C(order, j)``.
+def gl_coefficients(order: float, count: int) -> np.ndarray:
+    """Read-only weights ``c_0 .. c_count`` with ``c_j = (-1)**j * C(order, j)``.
 
     Computed with the stable recurrence ``c_j = c_{j-1} * (1 - (order+1)/j)``.
     """
@@ -113,14 +107,7 @@ def gl_coefficients(order: float, count: int) -> GLCoefficientTable:
         j = np.arange(1, count + 1, dtype=float)
         coeffs[1:] = np.cumprod(1.0 - (order + 1.0) / j)
     coeffs.setflags(write=False)
-    return GLCoefficientTable(order=float(order), coefficients=coeffs)
-
-
-def gamma_value(x: float) -> float:
-    """Gamma function on the positive reals."""
-    if not x > 0.0:
-        raise ValueError(f"gamma_value requires x > 0, got {x}")
-    return math.gamma(x)
+    return coeffs
 
 
 def caputo_of_monomial(power: float, order: float, t: float) -> float:
@@ -154,7 +141,7 @@ def gl_caputo_estimate(samples, order: float, step: float) -> float:
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     k = f.shape[0] - 1
-    c = gl_coefficients(order, k).coefficients
+    c = gl_coefficients(order, k)
     return float(step ** (-order) * np.dot(c, f[::-1] - f[0]))
 
 
@@ -166,10 +153,16 @@ def simulate(scenario: "Scenario") -> Trajectory:
 
         u_i = -gain * sum_k a_ik * (x_i(t_k - tau_i) - x_k(t_k - tau_i)).
 
-    Integer agents advance with forward Euler; fractional agents advance
-    with the explicit Grunwald-Letnikov update. States before t = 0 equal
-    the initial state. Delays are rounded to the nearest grid multiple.
-    Stepping stops early with ``diverged_at`` set if a state overflows.
+    Every agent advances with the same explicit Grunwald-Letnikov update
+
+        x_{k+1} = x(0) - sum_{j>=1} c_j * (x_{k+1-j} - x(0)) + h**order * u_k,
+
+    the sum running over the retained memory and stopping at the agent's
+    last nonzero weight. An integer-order agent's weights end at
+    ``c_1 = -1``, which makes its update forward Euler. States before
+    t = 0 equal the initial state. Delays are rounded to the nearest grid
+    multiple. Stepping stops early with ``diverged_at`` set if a state
+    overflows.
     """
     g = scenario.graph
     n = g.n
@@ -180,58 +173,48 @@ def simulate(scenario: "Scenario") -> Trajectory:
     if steps < 1:
         raise ValueError("horizon shorter than one step")
 
-    orders = np.array([a.order for a in scenario.agents])
-    delay_steps = np.array([int(round(a.delay / h)) for a in scenario.agents])
     x0 = np.asarray(scenario.initial, dtype=float)
-
     if scenario.solver.memory == "full":
         mem_len = steps + 1
     else:
         mem_len = min(int(scenario.solver.memory), steps + 1)
 
-    integer_rows = np.flatnonzero(orders == 1.0)
-    frac_rows = np.flatnonzero(orders < 1.0)
-
-    # Per fractional agent: reversed weight table so the memory sum is a
+    # Per agent: weights c_m .. c_1 (reversed) so the memory sum is a
     # contiguous dot product against the trailing history window.
-    rev_weights = {}
-    step_pow = {}
-    for i in frac_rows:
-        table = gl_coefficients(float(orders[i]), mem_len).coefficients
-        rev_weights[i] = table[::-1].copy()
-        step_pow[i] = h ** float(orders[i])
+    rev_weights = []
+    for agent in scenario.agents:
+        table = gl_coefficients(agent.order, mem_len)[1:]
+        rev_weights.append(table[: np.flatnonzero(table)[-1] + 1][::-1].copy())
+    step_pow = np.array([h ** agent.order for agent in scenario.agents])
 
-    delay_groups = [
-        (int(d), np.flatnonzero(delay_steps == d), w[np.flatnonzero(delay_steps == d), :])
-        for d in np.unique(delay_steps)
-    ]
+    # A lag past the horizon only ever reads the prehistory, so lags clip
+    # at ``steps`` and the prehistory never needs more than ``steps`` columns.
+    lags = np.array([round(min(agent.delay / h, steps)) for agent in scenario.agents])
+    pad = int(lags.max())
+    base = pad - lags
 
-    states = np.empty((n, steps + 1))
-    states[:, 0] = x0
-    deviations = np.zeros((n, steps + 1)) if frac_rows.size else None
-    u = np.empty(n)
+    states = np.empty((n, pad + steps + 1))
+    states[:, : pad + 1] = x0[:, None]
+    deviations = np.zeros((n, steps + 1))
+    memory = np.empty(n)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            for lag, rows, w_rows in delay_groups:
-                src = states[:, k - lag] if k >= lag else x0
-                # Differences first: identical states give exactly zero input.
-                u[rows] = -gain * np.sum(w_rows * (src[rows, None] - src[None, :]), axis=1)
-            states[integer_rows, k + 1] = states[integer_rows, k] + h * u[integer_rows]
-            for i in frac_rows:
-                lo = max(0, k + 1 - mem_len)
-                window = deviations[i, lo : k + 1]
-                weights = rev_weights[i][mem_len - 1 - k + lo : mem_len]
-                new = x0[i] - window @ weights + step_pow[i] * u[i]
-                states[i, k + 1] = new
-                deviations[i, k + 1] = new - x0[i]
-            if not np.all(np.isfinite(states[:, k + 1])):
-                times = np.arange(k + 1) * h
+            # lagged[i, j] = x_j(t_k - tau_i): one gather for every agent's lag.
+            lagged = states.take(base + k, axis=1).T
+            # Differences first: identical states give exactly zero input.
+            u = -gain * (w * (lagged.diagonal()[:, None] - lagged)).sum(axis=1)
+            for i, weights in enumerate(rev_weights):
+                m = min(k + 1, weights.size)
+                memory[i] = deviations[i, k + 1 - m : k + 1].dot(weights[-m:])
+            new = x0 - memory + step_pow * u
+            states[:, pad + k + 1] = new
+            deviations[:, k + 1] = new - x0
+            if not np.isfinite(new).all():
                 return Trajectory(
-                    times=times,
-                    states=states[:, : k + 1].copy(),
+                    times=np.arange(k + 1) * h,
+                    states=states[:, pad : pad + k + 1].copy(),
                     diverged_at=(k + 1) * h,
                 )
 
-    times = np.arange(steps + 1) * h
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad:])

@@ -84,13 +84,12 @@ class Digraph:
 class LaplacianView:
     """Laplacian ``L = D - A`` together with the row degrees.
 
-    ``degrees[i]`` is the i-th row sum of the weights and ``max_degree`` its
-    maximum; each row of ``matrix`` sums to zero by construction.
+    ``degrees[i]`` is the i-th row sum of the weights; each row of
+    ``matrix`` sums to zero by construction.
     """
 
     matrix: np.ndarray
     degrees: np.ndarray
-    max_degree: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +118,7 @@ def laplacian(g: Digraph) -> LaplacianView:
     matrix = np.diag(degrees) - g.weights
     for arr in (matrix, degrees):
         arr.setflags(write=False)
-    return LaplacianView(matrix=matrix, degrees=degrees, max_degree=float(degrees.max()))
+    return LaplacianView(matrix=matrix, degrees=degrees)
 
 
 def is_symmetric(g: Digraph) -> bool:

@@ -31,6 +31,12 @@ from .graph import Digraph
 
 DELAY_SNAP_WARN = 1e-9
 
+# Classification thresholds: the spread a converged run stays below over
+# the final fifth of the horizon, and how far the later half's peak there
+# may exceed the earlier half's.
+CONVERGED_TOL = 1e-2
+MONOTONE_SLACK = 1e-3
+
 
 class ScenarioFormatError(ValueError):
     """A scenario file is malformed; the message names the offending key."""
@@ -79,7 +85,7 @@ class Classification:
     ``final_spread`` is ``max_i x_i(T) - min_i x_i(T)``. A run is Converged
     when the spread stays below ``converged_tol`` over the final fifth of
     the horizon and its envelope does not grow there (the later half's peak
-    exceeds the earlier half's by at most ``monotone_slack``). Diverged
+    exceeds the earlier half's by at most ``MONOTONE_SLACK``). Diverged
     means a non-finite state, an early solver abort, or a final spread more
     than ten times the initial one.
     """
@@ -92,8 +98,14 @@ class Classification:
 
 
 def snap_delay(delay: float, step: float) -> float:
-    """Nearest grid multiple of ``step``; the value the solver actually uses."""
-    return round(delay / step) * step
+    """Nearest grid multiple of ``step``; the value the solver actually uses.
+
+    Raises ``ValueError`` when ``delay / step`` is not finite.
+    """
+    quotient = delay / step
+    if not math.isfinite(quotient):
+        raise ValueError(f"delay {delay!r} is not a finite multiple of the step {step!r}")
+    return round(quotient) * step
 
 
 def _require(mapping, key, context):
@@ -177,7 +189,10 @@ def parse_scenario(path) -> Scenario:
         agent_id = _as_int(_require(entry, "id", context), f"{context}.id")
         order = _as_number(_require(entry, "order", context), f"{context}.order")
         delay = _as_number(_require(entry, "delay", context), f"{context}.delay")
-        snapped = snap_delay(delay, solver.step)
+        try:
+            snapped = snap_delay(delay, solver.step)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"key '{context}.delay' is invalid: {exc}") from exc
         if abs(snapped - delay) > DELAY_SNAP_WARN:
             warnings.warn(
                 f"agent {agent_id}: delay {delay!r} is off the step grid, using {snapped!r}",
@@ -246,11 +261,7 @@ def save_scenario(scenario: Scenario, path) -> None:
     atomic_write_text(path, json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
-def classify(
-    traj: Trajectory,
-    converged_tol: float = 1e-2,
-    monotone_slack: float = 1e-3,
-) -> Classification:
+def classify(traj: Trajectory, converged_tol: float = CONVERGED_TOL) -> Classification:
     """Judge a trajectory Converged, NotConverged, or Diverged.
 
     The spread ``max_i x_i - min_i x_i`` is evaluated at every stored step.
@@ -277,7 +288,7 @@ def classify(
 
     if diverged:
         verdict = ConvergenceVerdict.DIVERGED
-    elif tail.max() < converged_tol and peak_late <= peak_early + monotone_slack:
+    elif tail.max() < converged_tol and peak_late <= peak_early + MONOTONE_SLACK:
         verdict = ConvergenceVerdict.CONVERGED
     else:
         verdict = ConvergenceVerdict.NOT_CONVERGED
@@ -292,14 +303,10 @@ def classify(
     )
 
 
-def run_scenario(
-    scenario: Scenario,
-    converged_tol: float = 1e-2,
-    monotone_slack: float = 1e-3,
-) -> tuple[Trajectory, Classification]:
+def run_scenario(scenario: Scenario) -> tuple[Trajectory, Classification]:
     """Simulate and classify; a converged trajectory gets its consensus value."""
     traj = simulate(scenario)
-    result = classify(traj, converged_tol, monotone_slack)
+    result = classify(traj)
     if result.verdict is ConvergenceVerdict.CONVERGED:
         traj = replace(traj, consensus_value=result.consensus_value)
     return traj, result
@@ -316,8 +323,7 @@ def bisect_critical_delay(
     tau_lo: float,
     tau_hi: float,
     tol: float,
-    converged_tol: float = 1e-2,
-    monotone_slack: float = 1e-3,
+    converged_tol: float = CONVERGED_TOL,
 ) -> float:
     """Bisect the largest uniform delay still classified Converged.
 
@@ -334,7 +340,7 @@ def bisect_critical_delay(
 
     def verdict_at(tau):
         traj = simulate(with_uniform_delay(template, tau))
-        return classify(traj, converged_tol, monotone_slack).verdict
+        return classify(traj, converged_tol).verdict
 
     lo_verdict = verdict_at(tau_lo)
     hi_verdict = verdict_at(tau_hi)

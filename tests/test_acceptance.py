@@ -167,7 +167,7 @@ def test_criterion_09_property_suites():
 
     # Coefficient-table invariants for 1000 random orders.
     for order in rng.uniform(1e-6, 1.0, 1000):
-        coeffs = gl_coefficients(float(order), 32).coefficients
+        coeffs = gl_coefficients(float(order), 32)
         partial = np.cumsum(coeffs)
         assert coeffs[0] == 1.0
         assert abs(coeffs[1] + order) < 1e-15

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,6 +150,41 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delay", [1e308, math.nan])
+    def test_unsnappable_delay_exit_two(self, tmp_path, capsys, delay):
+        payload = json.loads(CONFIG.read_text())
+        payload["agents"][0]["delay"] = delay
+        path = tmp_path / "bad_delay.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["simulate", str(path)]) == 2
+        assert "agents[0].delay" in capsys.readouterr().err
+
+    def test_unsnappable_bracket_exit_two(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, pair_scenario(step=1e-2, horizon=2.0))
+        code = run_cli(["critical", config, "--tau-lo", "0.0", "--tau-hi", "1e308"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run(
+            [sys.executable, "-m", "fracconsensus.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_no_arguments_exit_two(self):
+        assert self.run_module().returncode == 2
+
+    def test_bound_exit_zero(self):
+        result = self.run_module("bound", str(CONFIG))
+        assert result.returncode == 0
+        assert result.stdout.startswith("gain: 1")
 
 
 def test_serialize_parse_agreement(tmp_path):

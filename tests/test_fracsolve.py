@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from scipy.special import binom
@@ -14,31 +12,32 @@ from fracconsensus import (
     Scenario,
     SolverParams,
     caputo_of_monomial,
-    gamma_value,
     gl_caputo_estimate,
     gl_coefficients,
     simulate,
 )
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
+from reference_stepper import reference_simulate
 
 
 class TestGLCoefficients:
     def test_order_one_collapses_to_euler_weights(self):
-        table = gl_coefficients(1.0, 4)
-        assert table.coefficients.tolist() == [1.0, -1.0, 0.0, 0.0, 0.0]
+        assert gl_coefficients(1.0, 4).tolist() == [1.0, -1.0, 0.0, 0.0, 0.0]
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            gl_coefficients(0.5, 3)[1] = 0.0
 
     def test_order_09(self):
-        table = gl_coefficients(0.9, 3)
-        assert table.coefficients == pytest.approx([1.0, -0.9, -0.045, -0.0165], abs=1e-12)
+        assert gl_coefficients(0.9, 3) == pytest.approx([1.0, -0.9, -0.045, -0.0165], abs=1e-12)
 
     def test_order_half(self):
-        table = gl_coefficients(0.5, 2)
-        assert table.coefficients == pytest.approx([1.0, -0.5, -0.125], abs=1e-15)
+        assert gl_coefficients(0.5, 2) == pytest.approx([1.0, -0.5, -0.125], abs=1e-15)
 
     def test_matches_binomial_formula(self):
         # Independent route: (-1)^j * C(order, j) via scipy's binomial.
         for order in (0.1, 0.37, 0.5, 0.9, 0.999):
-            coeffs = gl_coefficients(order, 30).coefficients
+            coeffs = gl_coefficients(order, 30)
             j = np.arange(31)
             expected = (-1.0) ** j * binom(order, j)
             assert np.allclose(coeffs, expected, rtol=1e-12, atol=1e-15)
@@ -46,7 +45,7 @@ class TestGLCoefficients:
     def test_invariants_random_orders(self):
         rng = np.random.default_rng(42)
         for order in rng.uniform(1e-6, 1.0, 1000):
-            coeffs = gl_coefficients(float(order), 40).coefficients
+            coeffs = gl_coefficients(float(order), 40)
             assert coeffs[0] == 1.0
             assert coeffs[1] == pytest.approx(-order, rel=1e-15)
             assert np.all(coeffs[1:] <= 0.0)
@@ -63,23 +62,6 @@ class TestGLCoefficients:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
             gl_coefficients(0.5, -1)
-
-
-class TestGammaValue:
-    def test_one(self):
-        assert gamma_value(1.0) == 1.0
-
-    def test_half_is_sqrt_pi(self):
-        assert gamma_value(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-        assert gamma_value(0.5) == pytest.approx(1.7724538509, abs=5e-11)
-
-    def test_three_halves(self):
-        assert gamma_value(1.5) == pytest.approx(0.8862269255, abs=5e-11)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            gamma_value(x)
 
 
 class TestCaputoOfMonomial:
@@ -263,6 +245,13 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.states))
         assert traj.times.size == traj.states.shape[1]
 
+    def test_delay_far_past_horizon_reads_initial_state(self):
+        # Any lag past the horizon reads only the prehistory, so an
+        # astronomically long delay matches one just past the horizon.
+        far = simulate(demo_scenario(delay=1e300, horizon=0.5))
+        near = simulate(demo_scenario(delay=0.6, horizon=0.5))
+        assert np.array_equal(far.states, near.states)
+
     def test_full_memory_equals_explicit_window(self):
         full = simulate(leader_follower_scenario(step=1e-2, horizon=3.0))
         windowed = simulate(_with_memory(leader_follower_scenario(step=1e-2, horizon=3.0), 301))
@@ -277,6 +266,65 @@ class TestSimulate:
             errors.append(np.max(np.abs(full.states - short.states)) / scale)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-3
+
+
+def max_relative_difference(traj, ref):
+    return np.max(np.abs(traj.states - ref.states)) / np.max(np.abs(ref.states))
+
+
+def random_mixed_scenario(seed):
+    """Random digraph, n in 2..8, orders mixing 1.0 with fractional ones,
+    distinct lags that include 0 and one past the horizon."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    step, steps = 1e-2, 300
+    orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
+    orders[0], orders[-1] = 1.0, float(rng.uniform(0.3, 0.99))
+    lags = [0, steps + 50] + [int(v) for v in rng.choice(np.arange(1, steps), n - 2, replace=False)]
+    lags = [lags[i] for i in rng.permutation(n)]
+    memory = "full" if seed % 3 else int(rng.integers(1, 200))
+    return Scenario(
+        graph=random_digraph(rng, n, edge_prob=0.6),
+        agents=tuple(
+            AgentModel(id=i + 1, order=orders[i], delay=lags[i] * step) for i in range(n)
+        ),
+        gain=float(rng.uniform(0.3, 2.0)),
+        initial=tuple(rng.uniform(-1.0, 1.0, n)),
+        solver=SolverParams(step=step, horizon=steps * step, memory=memory),
+    )
+
+
+class TestReferenceEquivalence:
+    """The one-update stepper against the two-path stepper it replaced."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pair_scenario(),
+            leader_follower_scenario(),
+            demo_scenario(),
+            demo_scenario(memory=500),
+        ],
+        ids=["pair", "leader_follower", "demo", "demo_memory_500"],
+    )
+    def test_property_scenarios(self, scenario):
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_mixed_digraphs(self, seed):
+        scenario = random_mixed_scenario(seed)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_divergent_pair(self):
+        scenario = pair_scenario(delay=0.01, gain=1e6, horizon=2.0)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
 
 
 def _with_memory(scenario, memory):

@@ -68,7 +68,6 @@ class TestDegreesAndLaplacian:
         lap = laplacian(demo_graph())
         assert lap.matrix[0].tolist() == [1.0, 0.0, 0.0, -1.0]
         assert lap.matrix[2].tolist() == [-0.9, 0.0, 0.9, 0.0]
-        assert lap.max_degree == 1.0
 
     def test_zero_graph_laplacian(self):
         lap = laplacian(Digraph(n=3, weights=np.zeros((3, 3))))

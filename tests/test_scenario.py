@@ -118,6 +118,12 @@ class TestParse:
             scen = parse_scenario(path)
         assert scen.agents[0].delay == pytest.approx(0.6, abs=1e-12)
 
+    @pytest.mark.parametrize("delay", [1e308, math.nan])
+    def test_unsnappable_delay_names_key(self, tmp_path, delay):
+        path = self._write(tmp_path, lambda p: p["agents"][0].update(delay=delay))
+        with pytest.raises(ScenarioFormatError, match=r"agents\[0\]\.delay"):
+            parse_scenario(path)
+
     def test_memory_defaults_to_full(self, tmp_path):
         path = self._write(tmp_path, lambda p: p["solver"].pop("memory"))
         assert parse_scenario(path).solver.memory == "full"
@@ -151,6 +157,9 @@ class TestScenarioValidation:
     def test_snap_delay(self):
         assert snap_delay(0.6004, 1e-3) == pytest.approx(0.6, abs=1e-12)
         assert snap_delay(0.0, 1e-3) == 0.0
+        for delay in (1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                snap_delay(delay, 1e-3)
 
 
 def constant_trajectory(value=0.5, n=3, samples=101):
