@@ -3,15 +3,12 @@ simulation, analytic delay bounds, and frequency-domain stability certificates.
 """
 
 from .bounds import (
-    BoundReport,
     InapplicableBoundError,
     bound_report,
     degree_delay_bound,
     gain_delay_curve,
-    integer_delay_bound,
     max_gain_for_delay,
     mixed_order_delay_bound,
-    shared_delay_bound,
     spectral_delay_bound,
 )
 from .fracsolve import (
@@ -24,10 +21,6 @@ from .fracsolve import (
     simulate,
 )
 from .freqcert import (
-    CertificateResult,
-    CrossingEvent,
-    DiscMargin,
-    LociResult,
     OmegaGrid,
     Verdict,
     certify,
@@ -41,8 +34,6 @@ from .freqcert import (
 )
 from .graph import (
     Digraph,
-    LaplacianView,
-    Spectrum,
     SpectrumError,
     degree_vector,
     has_spanning_root,
@@ -52,7 +43,6 @@ from .graph import (
 )
 from .scenario import (
     BisectionBracketError,
-    Classification,
     ConvergenceVerdict,
     Scenario,
     ScenarioFormatError,
@@ -63,9 +53,6 @@ from .scenario import (
     save_scenario,
     scenario_to_dict,
     snap_delay,
-    with_uniform_delay,
-    write_curve_csv,
-    write_trajectory_csv,
 )
 
 __version__ = "0.1.0"

@@ -1,17 +1,18 @@
 """Closed-form sufficient delay bounds for delayed consensus.
 
-All four calculators return the largest delay (seconds) for which the
+Both calculators return the largest delay (seconds) for which the
 frequency-domain argument certifies consensus:
 
 * ``degree_delay_bound``     pi / (2 * (2*gain*dmax)**(1/order)), any digraph
 * ``spectral_delay_bound``   pi / (2 * (gain*rho)**(1/order)), symmetric weights
-* ``integer_delay_bound``    pi / (2 * gain * lambda_max), symmetric, order 1
-* ``shared_delay_bound``     pi / (2 * gain * rho), symmetric, order 1, one delay
 
-``dmax`` is the largest row degree, ``rho`` the spectral radius of the
-Laplacian and ``lambda_max`` its largest eigenvalue. The bounds are
-sufficient, not tight; degree and spectral variants are incomparable in
-general.
+``dmax`` is the largest row degree and ``rho`` the spectral radius of the
+Laplacian. The bounds are sufficient, not tight; degree and spectral
+variants are incomparable in general. The integer-order bound
+``pi / (2*gain*lambda_max)`` and the shared-delay bound
+``pi / (2*gain*rho)`` are the order-1 spectral bound: symmetric weights
+make the Laplacian positive semidefinite, so ``lambda_max = rho``.
+``bound_report`` reports them under their own names.
 """
 
 from __future__ import annotations
@@ -45,18 +46,6 @@ def _max_degree(g: Digraph) -> float:
     return dmax
 
 
-def _symmetric_spectrum(g: Digraph, name: str):
-    if not is_symmetric(g):
-        raise InapplicableBoundError(f"{name} requires symmetric weights")
-    reachable, _ = has_spanning_root(g)
-    if not reachable:
-        raise InapplicableBoundError(f"{name} requires a node that reaches all others")
-    spec = spectrum(laplacian(g))
-    if spec.spectral_radius <= 0.0:
-        raise InapplicableBoundError(f"{name} requires at least one edge")
-    return spec
-
-
 def degree_delay_bound(g: Digraph, gain: float, order: float) -> float:
     """Delay bound driven by the maximum row degree; applies to any digraph.
 
@@ -73,26 +62,16 @@ def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
     """Delay bound from the Laplacian spectral radius; symmetric weights only."""
     _check_gain(gain)
     _check_order(order)
-    spec = _symmetric_spectrum(g, "spectral_delay_bound")
-    return math.pi / (2.0 * (gain * spec.spectral_radius) ** (1.0 / order))
-
-
-def integer_delay_bound(g: Digraph, gain: float) -> float:
-    """Per-agent delay bound for all-integer-order agents on a symmetric graph."""
-    _check_gain(gain)
-    spec = _symmetric_spectrum(g, "integer_delay_bound")
-    lam_max = spec.max_real_eigenvalue
-    if lam_max <= 0.0:
-        raise InapplicableBoundError("integer_delay_bound requires a positive top eigenvalue")
-    return math.pi / (2.0 * gain * lam_max)
-
-
-def shared_delay_bound(g: Digraph, gain: float) -> float:
-    """Bound for a single delay shared by all integer-order agents on a
-    symmetric graph."""
-    _check_gain(gain)
-    spec = _symmetric_spectrum(g, "shared_delay_bound")
-    return math.pi / (2.0 * gain * spec.spectral_radius)
+    name = "spectral_delay_bound"
+    if not is_symmetric(g):
+        raise InapplicableBoundError(f"{name} requires symmetric weights")
+    reachable, _ = has_spanning_root(g)
+    if not reachable:
+        raise InapplicableBoundError(f"{name} requires a node that reaches all others")
+    rho = spectrum(laplacian(g)).spectral_radius
+    if rho <= 0.0:
+        raise InapplicableBoundError(f"{name} requires at least one edge")
+    return math.pi / (2.0 * (gain * rho) ** (1.0 / order))
 
 
 def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:
@@ -108,30 +87,6 @@ def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:
     return (math.pi / (2.0 * delay)) ** order / (2.0 * dmax)
 
 
-def gain_samples(gain_min: float, gain_max: float, samples: int) -> list[float]:
-    """``samples`` evenly spaced gains from ``gain_min`` to ``gain_max``."""
-    if not 0.0 < gain_min < gain_max:
-        raise ValueError(f"need 0 < gain_min < gain_max, got ({gain_min}, {gain_max})")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    return np.linspace(gain_min, gain_max, samples).tolist()
-
-
-def gain_delay_curve(
-    g: Digraph,
-    order: float,
-    gain_min: float,
-    gain_max: float,
-    samples: int,
-) -> list[tuple[float, float]]:
-    """Evenly spaced gains mapped through the degree bound.
-
-    The returned delay column is strictly decreasing in the gain.
-    """
-    return [(gamma, degree_delay_bound(g, gamma, order))
-            for gamma in gain_samples(gain_min, gain_max, samples)]
-
-
 def mixed_order_delay_bound(g: Digraph, gain: float, orders) -> tuple[float, float]:
     """Smallest degree bound over a set of agent orders.
 
@@ -144,6 +99,25 @@ def mixed_order_delay_bound(g: Digraph, gain: float, orders) -> tuple[float, flo
         raise ValueError("need at least one order")
     best = min(((degree_delay_bound(g, gain, a), a) for a in distinct), key=lambda t: t[0])
     return best
+
+
+def gain_delay_curve(
+    g: Digraph,
+    orders,
+    gain_min: float,
+    gain_max: float,
+    samples: int,
+) -> list[tuple[float, float]]:
+    """Evenly spaced gains mapped through ``mixed_order_delay_bound``.
+
+    The returned delay column is strictly decreasing in the gain.
+    """
+    if not 0.0 < gain_min < gain_max:
+        raise ValueError(f"need 0 < gain_min < gain_max, got ({gain_min}, {gain_max})")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    return [(gamma, mixed_order_delay_bound(g, gamma, orders)[0])
+            for gamma in np.linspace(gain_min, gain_max, samples).tolist()]
 
 
 @dataclass(frozen=True)
@@ -172,28 +146,27 @@ def bound_report(
     """Evaluate every bound whose hypotheses hold; record reasons otherwise."""
     degree = degree_delay_bound(g, gain, order)
     skipped: list[tuple[str, str]] = []
+    try:
+        spectral = spectral_delay_bound(g, gain, order)
+    except InapplicableBoundError as exc:
+        spectral = None
+        skipped.append(("spectral_bound", str(exc)))
 
-    def attempt(name, func, *, needs_integer_order=False, needs_uniform=False):
-        if needs_integer_order and order != 1.0:
-            skipped.append((name, "requires every agent order to be 1"))
-            return None
-        if needs_uniform and not uniform_delay:
-            skipped.append((name, "requires a single delay shared by all agents"))
-            return None
-        try:
-            return func()
-        except InapplicableBoundError as exc:
-            skipped.append((name, str(exc)))
-            return None
+    def order_one(name, needs_uniform=False):
+        # At order 1 the integer and shared-delay bounds are the spectral bound.
+        if order != 1.0:
+            reason = "requires every agent order to be 1"
+        elif needs_uniform and not uniform_delay:
+            reason = "requires a single delay shared by all agents"
+        elif spectral is None:
+            reason = dict(skipped)["spectral_bound"]
+        else:
+            return spectral
+        skipped.append((name, reason))
+        return None
 
-    spectral = attempt("spectral_bound", lambda: spectral_delay_bound(g, gain, order))
-    integer = attempt("integer_bound", lambda: integer_delay_bound(g, gain), needs_integer_order=True)
-    shared = attempt(
-        "shared_bound",
-        lambda: shared_delay_bound(g, gain),
-        needs_integer_order=True,
-        needs_uniform=True,
-    )
+    integer = order_one("integer_bound")
+    shared = order_one("shared_bound", needs_uniform=True)
     return BoundReport(
         gain=gain,
         order_used=order,

@@ -96,10 +96,7 @@ def cmd_certify(args) -> int:
 def cmd_curve(args) -> int:
     scen = sc.parse_scenario(args.scenario)
     orders = [a.order for a in scen.agents]
-    pairs = [
-        (gamma, bounds.mixed_order_delay_bound(scen.graph, gamma, orders)[0])
-        for gamma in bounds.gain_samples(args.gamma_min, args.gamma_max, args.samples)
-    ]
+    pairs = bounds.gain_delay_curve(scen.graph, orders, args.gamma_min, args.gamma_max, args.samples)
     buf = io.StringIO()
     sc.write_curve_csv(pairs, buf)
     _emit(buf.getvalue(), args.out)

@@ -78,13 +78,11 @@ class Trajectory:
 
     ``states[i, k]`` is agent ``i + 1`` at ``times[k]``. When the stepper
     hits a non-finite value it stops and records the first bad time in
-    ``diverged_at``; the stored columns are all finite. ``consensus_value``
-    is filled in by classification once a run is judged converged.
+    ``diverged_at``; the stored columns are all finite.
     """
 
     times: np.ndarray
     states: np.ndarray
-    consensus_value: float | None = None
     diverged_at: float | None = None
 
     def __post_init__(self):
@@ -169,33 +167,39 @@ def simulate(scenario: "Scenario") -> Trajectory:
     w = g.weights
     gain = scenario.gain
     h = scenario.solver.step
-    steps = int(round(scenario.solver.horizon / h))
-    if steps < 1:
-        raise ValueError("horizon shorter than one step")
-
     x0 = np.asarray(scenario.initial, dtype=float)
-    if scenario.solver.memory == "full":
-        mem_len = steps + 1
-    else:
-        mem_len = min(int(scenario.solver.memory), steps + 1)
-
-    # Per agent: weights c_m .. c_1 (reversed) so the memory sum is a
-    # contiguous dot product against the trailing history window.
-    rev_weights = []
-    for agent in scenario.agents:
-        table = gl_coefficients(agent.order, mem_len)[1:]
-        rev_weights.append(table[: np.flatnonzero(table)[-1] + 1][::-1].copy())
     step_pow = np.array([h ** agent.order for agent in scenario.agents])
 
-    # A lag past the horizon only ever reads the prehistory, so lags clip
-    # at ``steps`` and the prehistory never needs more than ``steps`` columns.
-    lags = np.array([round(min(agent.delay / h, steps)) for agent in scenario.agents])
-    pad = int(lags.max())
-    base = pad - lags
+    # A step count beyond what numpy can allocate (a step tiny against the
+    # horizon) is reported against the scenario key that set it.
+    try:
+        steps = int(round(scenario.solver.horizon / h))
+        if scenario.solver.memory == "full":
+            mem_len = steps + 1
+        else:
+            mem_len = min(int(scenario.solver.memory), steps + 1)
 
-    states = np.empty((n, pad + steps + 1))
-    states[:, : pad + 1] = x0[:, None]
-    deviations = np.zeros((n, steps + 1))
+        # Per agent: weights c_m .. c_1 (reversed) so the memory sum is a
+        # contiguous dot product against the trailing history window.
+        rev_weights = []
+        for agent in scenario.agents:
+            table = gl_coefficients(agent.order, mem_len)[1:]
+            rev_weights.append(table[: np.flatnonzero(table)[-1] + 1][::-1].copy())
+
+        # A lag past the horizon only ever reads the prehistory, so lags clip
+        # at ``steps`` and the prehistory never needs more than ``steps`` columns.
+        lags = np.array([round(min(agent.delay / h, steps)) for agent in scenario.agents])
+        pad = int(lags.max())
+        base = pad - lags
+
+        states = np.empty((n, pad + steps + 1))
+        states[:, : pad + 1] = x0[:, None]
+        deviations = np.zeros((n, steps + 1))
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValueError(
+            f"key 'solver' is invalid: {scenario.solver.horizon / h:.3g} steps "
+            f"cannot be allocated ({exc})"
+        ) from exc
     memory = np.empty(n)
 
     with np.errstate(over="ignore", invalid="ignore"):

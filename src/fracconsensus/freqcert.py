@@ -187,7 +187,7 @@ def characteristic_value(omega: float, g: Digraph, agents, gain: float) -> compl
     delays = np.array([a.delay for a in agents])
     diag = omega ** orders * np.exp(1j * orders * math.pi / 2.0)
     lag = np.exp(-1j * omega * delays)
-    matrix = np.diag(diag) + gain * (lag[:, None] * laplacian(g).matrix)
+    matrix = np.diag(diag) + gain * (lag[:, None] * laplacian(g))
     return complex(np.linalg.det(matrix))
 
 
@@ -201,7 +201,7 @@ def eigen_loci(g: Digraph, agents, gain: float, grid: OmegaGrid) -> LociResult:
     """
     if g.n > MAX_DENSE_NODES:
         raise ValueError(f"eigen loci limited to {MAX_DENSE_NODES} nodes, got {g.n}")
-    lap = laplacian(g).matrix
+    lap = laplacian(g)
     omegas = grid.values
     loci = np.empty((omegas.size, g.n), dtype=complex)
     for k, omega in enumerate(omegas):

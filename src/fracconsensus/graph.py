@@ -81,29 +81,15 @@ class Digraph:
 
 
 @dataclass(frozen=True, eq=False)
-class LaplacianView:
-    """Laplacian ``L = D - A`` together with the row degrees.
-
-    ``degrees[i]`` is the i-th row sum of the weights; each row of
-    ``matrix`` sums to zero by construction.
-    """
-
-    matrix: np.ndarray
-    degrees: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of a Laplacian, sorted by modulus (then real, imaginary).
 
-    ``max_real_eigenvalue`` is meaningful for symmetric weights, where the
-    spectrum is real; ``zero_multiplicity`` counts eigenvalues with modulus
-    below the zero tolerance.
+    ``zero_multiplicity`` counts eigenvalues with modulus below the zero
+    tolerance.
     """
 
     eigenvalues: np.ndarray
     spectral_radius: float
-    max_real_eigenvalue: float
     zero_multiplicity: int
 
 
@@ -112,13 +98,12 @@ def degree_vector(g: Digraph) -> np.ndarray:
     return g.weights.sum(axis=1)
 
 
-def laplacian(g: Digraph) -> LaplacianView:
-    """Laplacian view ``diag(degrees) - weights`` of the graph."""
-    degrees = degree_vector(g)
-    matrix = np.diag(degrees) - g.weights
-    for arr in (matrix, degrees):
-        arr.setflags(write=False)
-    return LaplacianView(matrix=matrix, degrees=degrees)
+def laplacian(g: Digraph) -> np.ndarray:
+    """Read-only Laplacian ``diag(degree_vector(g)) - weights``; each row
+    sums to zero."""
+    matrix = np.diag(degree_vector(g)) - g.weights
+    matrix.setflags(write=False)
+    return matrix
 
 
 def is_symmetric(g: Digraph) -> bool:
@@ -153,7 +138,7 @@ def has_spanning_root(g: Digraph) -> tuple[bool, int | None]:
 
 
 def spectrum(
-    view: LaplacianView,
+    matrix: np.ndarray,
     zero_tol: float = ZERO_EIGENVALUE_TOL,
     max_nodes: int = MAX_DENSE_NODES,
 ) -> Spectrum:
@@ -162,11 +147,11 @@ def spectrum(
     Intended for desk-scale problems; refuses matrices beyond ``max_nodes``
     rows. A non-converging eigenvalue iteration raises ``SpectrumError``.
     """
-    n = view.matrix.shape[0]
+    n = matrix.shape[0]
     if n > max_nodes:
         raise ValueError(f"dense spectrum limited to {max_nodes} nodes, got {n}")
     try:
-        values = np.linalg.eigvals(view.matrix)
+        values = np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"eigenvalue computation failed: {exc}") from exc
     order = np.lexsort((values.imag, values.real, np.abs(values)))
@@ -175,6 +160,5 @@ def spectrum(
     return Spectrum(
         eigenvalues=values,
         spectral_radius=float(np.abs(values).max()),
-        max_real_eigenvalue=float(values.real.max()),
         zero_multiplicity=int(np.count_nonzero(np.abs(values) < zero_tol)),
     )

@@ -93,8 +93,6 @@ class Classification:
     verdict: ConvergenceVerdict
     final_spread: float
     consensus_value: float | None
-    spread_times: np.ndarray
-    spread_values: np.ndarray
 
 
 def snap_delay(delay: float, step: float) -> float:
@@ -298,18 +296,13 @@ def classify(traj: Trajectory, converged_tol: float = CONVERGED_TOL) -> Classifi
         verdict=verdict,
         final_spread=final_spread,
         consensus_value=consensus,
-        spread_times=traj.times,
-        spread_values=spreads,
     )
 
 
 def run_scenario(scenario: Scenario) -> tuple[Trajectory, Classification]:
-    """Simulate and classify; a converged trajectory gets its consensus value."""
+    """Simulate and classify."""
     traj = simulate(scenario)
-    result = classify(traj)
-    if result.verdict is ConvergenceVerdict.CONVERGED:
-        traj = replace(traj, consensus_value=result.consensus_value)
-    return traj, result
+    return traj, classify(traj)
 
 
 def with_uniform_delay(scenario: Scenario, delay: float) -> Scenario:
@@ -337,6 +330,13 @@ def bisect_critical_delay(
         raise ValueError(f"need 0 <= tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    # Every probe lies inside the bracket, so snappable ends make every
+    # probe snappable; check them before the first simulation.
+    for name, tau in (("tau_lo", tau_lo), ("tau_hi", tau_hi)):
+        try:
+            snap_delay(tau, template.solver.step)
+        except ValueError as exc:
+            raise ValueError(f"{name} is invalid: {exc}") from exc
 
     def verdict_at(tau):
         traj = simulate(with_uniform_delay(template, tau))

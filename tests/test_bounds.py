@@ -13,10 +13,8 @@ from fracconsensus import (
     bound_report,
     degree_delay_bound,
     gain_delay_curve,
-    integer_delay_bound,
     max_gain_for_delay,
     mixed_order_delay_bound,
-    shared_delay_bound,
     spectral_delay_bound,
 )
 from conftest import demo_graph, random_digraph
@@ -97,37 +95,52 @@ class TestSpectralBound:
 
 
 class TestIntegerAndSharedBounds:
+    # Both are the order-1 spectral bound, reported by ``bound_report``.
+    @staticmethod
+    def order_one(g, gain):
+        return bound_report(g, gain, 1.0, uniform_delay=True)
+
     def test_pair_values(self):
-        assert integer_delay_bound(symmetric_pair(), 1.0) == pytest.approx(math.pi / 4)
-        assert integer_delay_bound(symmetric_pair(), 2.0) == pytest.approx(math.pi / 8)
-        assert shared_delay_bound(symmetric_pair(), 1.0) == pytest.approx(math.pi / 4)
+        assert self.order_one(symmetric_pair(), 1.0).integer_bound == pytest.approx(math.pi / 4)
+        assert self.order_one(symmetric_pair(), 2.0).integer_bound == pytest.approx(math.pi / 8)
+        assert self.order_one(symmetric_pair(), 1.0).shared_bound == pytest.approx(math.pi / 4)
 
     def test_doubling_weights_halves_shared_bound(self):
-        base = shared_delay_bound(symmetric_pair(1.0), 1.0)
-        assert shared_delay_bound(symmetric_pair(2.0), 1.0) == pytest.approx(base / 2)
+        base = self.order_one(symmetric_pair(1.0), 1.0).shared_bound
+        assert self.order_one(symmetric_pair(2.0), 1.0).shared_bound == pytest.approx(base / 2)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(InapplicableBoundError):
-            integer_delay_bound(demo_graph(), 1.0)
-        with pytest.raises(InapplicableBoundError):
-            shared_delay_bound(demo_graph(), 1.0)
+        report = self.order_one(demo_graph(), 1.0)
+        assert report.integer_bound is None
+        assert report.shared_bound is None
+        skipped = dict(report.skipped)
+        assert skipped["integer_bound"] == "spectral_delay_bound requires symmetric weights"
+        assert skipped["shared_bound"] == skipped["integer_bound"]
 
-    def test_spectral_equals_integer_bound_for_symmetric_graphs(self):
-        # For symmetric weights the Laplacian is positive semidefinite, so
-        # its spectral radius is its largest eigenvalue.
+    def test_unrooted_rejected(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.0
+        w[2, 3] = w[3, 2] = 1.0
+        skipped = dict(self.order_one(Digraph(n=4, weights=w), 1.0).skipped)
+        assert skipped["integer_bound"].endswith("requires a node that reaches all others")
+        assert skipped["shared_bound"] == skipped["integer_bound"]
+
+    def test_matches_eigvalsh_oracle(self):
+        # Independent route: the symmetric eigensolver's top eigenvalue.
         rng = np.random.default_rng(5)
         found = 0
         while found < 30:
             g = random_digraph(rng, int(rng.integers(2, 7)), edge_prob=0.6)
             sym = Digraph(n=g.n, weights=(g.weights + g.weights.T) / 2.0)
-            try:
-                a = spectral_delay_bound(sym, 1.2, 1.0)
-                b = integer_delay_bound(sym, 1.2)
-                c = shared_delay_bound(sym, 1.2)
-            except InapplicableBoundError:
+            if not sym.weights.any():
                 continue
-            assert a == pytest.approx(b, rel=1e-9)
-            assert b == pytest.approx(c, rel=1e-9)
+            report = self.order_one(sym, 1.2)
+            if report.integer_bound is None:
+                continue
+            lap = np.diag(sym.weights.sum(axis=1)) - sym.weights
+            lam_max = np.linalg.eigvalsh(lap)[-1]
+            assert report.integer_bound == pytest.approx(math.pi / (2.0 * 1.2 * lam_max), rel=1e-9)
+            assert report.shared_bound == report.integer_bound
             found += 1
 
 
@@ -155,30 +168,35 @@ class TestGainInversion:
 
 class TestCurve:
     def test_strictly_decreasing(self):
-        curve = gain_delay_curve(demo_graph(), 0.9, 0.2, 2.0, 50)
+        curve = gain_delay_curve(demo_graph(), (0.9,), 0.2, 2.0, 50)
         taus = [tau for _, tau in curve]
         assert len(curve) == 50
         assert all(a > b for a, b in zip(taus, taus[1:]))
 
     def test_contains_unit_gain_value(self):
-        curve = gain_delay_curve(demo_graph(), 0.9, 0.5, 1.5, 3)
+        curve = gain_delay_curve(demo_graph(), (0.9,), 0.5, 1.5, 3)
         gamma, tau = curve[1]
         assert gamma == pytest.approx(1.0)
         assert tau == pytest.approx(0.7271802985665787, abs=1e-12)
 
     def test_known_gain_sample(self):
-        curve = gain_delay_curve(demo_graph(), 0.9, 1.19, 2.0, 2)
+        curve = gain_delay_curve(demo_graph(), (0.9,), 1.19, 2.0, 2)
         assert curve[0][1] == pytest.approx(0.5993783279304509, abs=1e-12)
 
     def test_doubling_gain_halves_integer_order_bound(self):
-        curve = dict(gain_delay_curve(demo_graph(), 1.0, 1.0, 2.0, 3))
+        curve = dict(gain_delay_curve(demo_graph(), (1.0,), 1.0, 2.0, 3))
         assert curve[2.0] == pytest.approx(curve[1.0] / 2.0, rel=1e-12)
+
+    def test_mixed_orders_take_the_smaller_bound(self):
+        orders = (1.0, 1.0, 0.9, 0.9)
+        for gamma, tau in gain_delay_curve(demo_graph(), orders, 0.1, 2.0, 20):
+            assert tau == min(degree_delay_bound(demo_graph(), gamma, a) for a in (1.0, 0.9))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="samples"):
-            gain_delay_curve(demo_graph(), 0.9, 0.5, 1.0, 1)
+            gain_delay_curve(demo_graph(), (0.9,), 0.5, 1.0, 1)
         with pytest.raises(ValueError, match="gain_min"):
-            gain_delay_curve(demo_graph(), 0.9, 1.0, 0.5, 10)
+            gain_delay_curve(demo_graph(), (0.9,), 1.0, 0.5, 10)
 
 
 class TestMixedOrderBound:

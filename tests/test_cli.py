@@ -11,11 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import fracconsensus.scenario
 from fracconsensus.cli import run_cli
 from fracconsensus import parse_scenario, save_scenario, scenario_to_dict
 from conftest import demo_scenario, pair_scenario
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -69,6 +71,20 @@ class TestBoundCommand:
         assert "spectral bound: 0.785398" in captured
         assert "integer bound: 0.785398" in captured
         assert "shared-delay bound: 0.785398" in captured
+
+
+class TestGoldenOutput:
+    # bound and curve print closed forms, so their default output is frozen
+    # byte for byte in tests/golden/<config stem>.<command>.out.
+    @pytest.mark.parametrize("command", ["bound", "curve"])
+    @pytest.mark.parametrize(
+        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json"], ids=lambda p: p.stem
+    )
+    def test_default_output(self, capsys, config, command):
+        assert run_cli([command, str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / f"{config.stem}.{command}.out").read_text()
+        assert captured.err == ""
 
 
 class TestCertifyCommand:
@@ -160,11 +176,27 @@ class TestErrorPaths:
         assert run_cli(["simulate", str(path)]) == 2
         assert "agents[0].delay" in capsys.readouterr().err
 
-    def test_unsnappable_bracket_exit_two(self, tmp_path, capsys):
-        config = write_scenario(tmp_path, pair_scenario(step=1e-2, horizon=2.0))
-        code = run_cli(["critical", config, "--tau-lo", "0.0", "--tau-hi", "1e308"])
+    def test_unsnappable_bracket_exit_two(self, capsys, monkeypatch):
+        # The bracket is checked before any simulation runs.
+        def no_simulation(scenario):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(fracconsensus.scenario, "simulate", no_simulation)
+        code = run_cli(["critical", str(CONFIG), "--tau-lo", "0.3", "--tau-hi", "1e308"])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: tau_hi is invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [1e-15, 1e-300])
+    def test_unallocatable_step_count_exit_two(self, tmp_path, capsys, step):
+        # 3e16 steps exceed any address space; 3e301 exceed numpy's index range.
+        payload = json.loads(CONFIG.read_text())
+        payload["solver"]["h"] = step
+        path = tmp_path / "tiny_step.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'solver'" in err
+        assert f"{30.0 / step:.3g} steps" in err
 
 
 class TestModuleEntryPoint:

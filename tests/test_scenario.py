@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracconsensus.scenario
 from fracconsensus import (
     AgentModel,
     BisectionBracketError,
@@ -124,6 +126,14 @@ class TestParse:
         with pytest.raises(ScenarioFormatError, match=r"agents\[0\]\.delay"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize("step", [1e-15, 1e-300])
+    def test_unallocatable_step_count_names_solver(self, tmp_path, step):
+        path = self._write(tmp_path, lambda p: p["solver"].update(h=step))
+        scen = parse_scenario(path)
+        with pytest.raises(ValueError, match=re.escape(f"{30.0 / step:.3g} steps")) as info:
+            simulate(scen)
+        assert str(info.value).startswith("key 'solver' is invalid")
+
     def test_memory_defaults_to_full(self, tmp_path):
         path = self._write(tmp_path, lambda p: p["solver"].pop("memory"))
         assert parse_scenario(path).solver.memory == "full"
@@ -176,10 +186,9 @@ class TestClassify:
         assert result.consensus_value == pytest.approx(0.5)
 
     def test_demo_delay_06_converges(self):
-        traj, result = run_scenario(demo_scenario(delay=0.6))
+        _, result = run_scenario(demo_scenario(delay=0.6))
         assert result.verdict is ConvergenceVerdict.CONVERGED
         assert result.final_spread < 1e-2
-        assert traj.consensus_value == pytest.approx(result.consensus_value)
 
     def test_demo_delay_08_does_not_converge(self):
         _, result = run_scenario(demo_scenario(delay=0.8))
@@ -252,6 +261,17 @@ class TestBisection:
         template = pair_scenario(horizon=2.0)
         with pytest.raises(BisectionBracketError, match="->"):
             bisect_critical_delay(template, 0.7, 0.9, 0.05)
+
+    @pytest.mark.parametrize(
+        "tau_lo, tau_hi, name", [(0.0, 1e308, "tau_hi"), (1e308, math.inf, "tau_lo")]
+    )
+    def test_unsnappable_end_rejected_before_simulation(self, monkeypatch, tau_lo, tau_hi, name):
+        def no_simulation(scenario):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(fracconsensus.scenario, "simulate", no_simulation)
+        with pytest.raises(ValueError, match=name):
+            bisect_critical_delay(pair_scenario(), tau_lo, tau_hi, 0.05)
 
     def test_rejects_inverted_bracket(self):
         with pytest.raises(ValueError, match="tau_lo"):
