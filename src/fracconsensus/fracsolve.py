@@ -7,12 +7,17 @@ Grunwald-Letnikov scheme applied to ``x(t) - x(0)``: on a uniform grid
 
     D^alpha x(t_K) ~= h**(-alpha) * sum_{j=0..K} c_j * (x(t_{K-j}) - x(0)),
 
-with binomial weights ``c_j = (-1)**j * C(alpha, j)``. Solving the step
-equation for the newest sample gives the explicit update that ``simulate``
-applies to every agent. For ``alpha = 1`` the recurrence gives
-``c_2 = 0`` exactly, so the weights end at ``c_1 = -1`` and the same update
-is forward Euler: integer-order agents are the ``alpha = 1`` case, not a
-separate code path.
+with binomial weights ``c_j = (-1)**j * C(alpha, j)``. Setting this equal
+to the input ``u_{K-1}`` at every step and solving for the whole history at
+once gives the fractional-integral form
+
+    x(t_K) = x(0) + h**alpha * sum_{j=0..K-1} b_j * u_{K-1-j},
+
+where ``b`` is the power series inverse of the weights ``c``
+(``integral_weights``). For ``alpha = 1`` every ``b_j = 1`` and the sum is
+forward Euler: integer-order agents are the ``alpha = 1`` case, not a
+separate code path. ``simulate`` advances every agent with this sum, one
+block of steps at a time, and evaluates the history part with FFTs.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ class AgentModel:
     """One agent: 1-based id, derivative order in (0, 1], delay in seconds.
 
     ``order == 1`` marks an integer-order agent; every order goes through
-    the same Grunwald-Letnikov update in ``simulate``.
+    the same fractional-integral update in ``simulate``.
     """
 
     id: int
@@ -52,8 +57,10 @@ class AgentModel:
 class SolverParams:
     """Grid step ``step``, horizon, and memory policy for the history sum.
 
-    ``memory`` is either ``"full"`` or a positive integer giving the number
-    of most recent steps retained in the fractional memory sum.
+    ``memory`` is either ``"full"`` or a positive integer ``N``: the
+    Grunwald-Letnikov weights stop at ``c_N`` (the short-memory principle).
+    The stepper uses the series inverse of the truncated weights, so ``N``
+    changes the result, not the cost.
     """
 
     step: float = 1e-3
@@ -65,6 +72,11 @@ class SolverParams:
             raise ValueError(f"step must be positive, got {self.step}")
         if not (math.isfinite(self.horizon) and self.horizon > self.step):
             raise ValueError(f"horizon must exceed the step, got {self.horizon}")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError(
+                f"horizon / step is not a finite step count "
+                f"(horizon {self.horizon}, step {self.step})"
+            )
         if self.memory != "full":
             if isinstance(self.memory, bool) or not isinstance(self.memory, int):
                 raise ValueError(f"memory must be 'full' or a positive integer, got {self.memory!r}")
@@ -143,6 +155,125 @@ def gl_caputo_estimate(samples, order: float, step: float) -> float:
     return float(step ** (-order) * np.dot(c, f[::-1] - f[0]))
 
 
+def integral_weights(order: float, count: int, memory: int | None = None) -> np.ndarray:
+    """Weights ``b_0 .. b_{count-1}`` of the fractional-integral form
+
+        x_K - x(0) = h**order * sum_{j=0..K-1} b_j * u_{K-1-j},
+
+    the power series of ``1 / C(z)`` where ``C(z) = sum_j c_j z**j`` holds
+    the Grunwald-Letnikov weights. With full memory they are the
+    coefficients of ``(1 - z)**(-order)``, ``b_j = b_{j-1} * (j-1+order)/j``,
+    all equal to 1 at ``order = 1``, whose weights end at ``c_1`` so that no
+    memory truncates them. With ``memory = N`` the weights stop at
+    ``c_N``; the first ``N + 1`` of ``b`` are unchanged and the rest follow
+    from doubling: given ``b_0 .. b_{m-1}``, the truncated recurrence makes
+    ``b_m .. b_{2m-1}`` the lower-triangular Toeplitz product of
+    ``b_0 .. b_{m-1}`` with the part of ``-sum c_j b_{n-j}`` that reads
+    ``b_0 .. b_{m-1}``. Every term is nonnegative, so nothing cancels.
+    """
+    j = np.arange(1, count)
+    weights = np.cumprod(np.concatenate(([1.0], (j - 1.0 + order) / j)))
+    if memory is None or memory >= count - 1 or order == 1.0:
+        return weights
+    tail = -gl_coefficients(order, memory)
+    tail[0] = 0.0
+    weights = weights[: memory + 1]
+    while weights.size < count:
+        m = weights.size
+        size = _fft_size(2 * m)
+        spec = np.fft.rfft(weights, size)
+        known = np.fft.irfft(spec * np.fft.rfft(tail, size), size)[m : 2 * m]
+        new = np.fft.irfft(spec * np.fft.rfft(known, size), size)[: min(m, count - m)]
+        weights = np.concatenate((weights, new))
+    return weights
+
+
+def _fft_size(n: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c`` that is at least ``n``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# History products over at most this many sources run as dense Toeplitz
+# matrix products, and blocks shorter than this are grouped into panels of up
+# to this many steps; longer products run through the FFT.
+DIRECT_MAX = 48
+
+
+class _HistorySum:
+    """Adds ``sum_m b[i, off + t - m] * src[i, m]`` to ``out[i, t]``, where
+    ``b[i]`` are the ``integral_weights`` of agent ``i``'s order (zero at
+    negative indices) and ``0 <= off <= width``.
+
+    ``width`` is the number of sources of a full product: ``off < width``
+    gives the in-panel (near-field) products, ``off = width`` the far-field
+    product of the dyadic scheme. Agents of one order share their weights.
+    Short products use one cached Toeplitz matrix of ``2 * width`` rows per
+    width; long ones use weight transforms, cached per ``(off, width)``
+    unless ``keep`` is false, and run one agent at a time, so the
+    transforms of a wide level are never all in memory at once.
+    """
+
+    def __init__(self, orders, count: int, memory: int | None):
+        self.orders = orders
+        self.agents = {}
+        for i, order in enumerate(orders):
+            self.agents.setdefault(order, []).append(i)
+        self.weights = {order: integral_weights(order, count, memory) for order in self.agents}
+        self.toeplitz = {}
+        self.spectra = {}
+
+    def add(self, out: np.ndarray, off: int, width: int, src: np.ndarray, keep: bool = True):
+        rows = out.shape[1]
+        if width <= DIRECT_MAX:
+            mat = self.toeplitz.get(width)
+            if mat is None:
+                idx = np.arange(2 * width)[:, None] - np.arange(width)
+                mats = {}
+                for order, b in self.weights.items():
+                    mats[order] = np.where(idx < 0, 0.0, b.take(idx, mode="clip"))
+                mat = self.toeplitz[width] = np.stack([mats[order] for order in self.orders])
+            out += np.matmul(mat[:, off : off + rows, : src.shape[1]], src[:, :, None])[:, :, 0]
+            return
+        size = _fft_size(2 * width)
+        lo = max(off - width + 1, 0)
+        cached = self.spectra.get((off, width))
+        spectra = {}
+        for order, agents in self.agents.items():
+            if cached is not None:
+                kernel = cached[order]
+            else:
+                kernel = np.fft.rfft(self.weights[order][lo : off + width], size)
+                if keep:
+                    spectra[order] = kernel
+            for i in agents:
+                # Scaling by an exact power of two keeps the transform from
+                # overflowing before the sum it computes does.
+                scale = np.frexp(max(src[i].max(), -src[i].min()))[1]
+                spec = np.fft.rfft(np.ldexp(src[i], -scale), size)
+                spec *= kernel
+                out[i] += np.ldexp(np.fft.irfft(spec, size)[off - lo : off - lo + rows], scale)
+        if cached is None and keep:
+            self.spectra[(off, width)] = spectra
+
+    def step(self, src: np.ndarray, t: int) -> np.ndarray:
+        """``sum_{m <= t} b[i, t - m] * src[i, m]``: one row of the near
+        field, from ``src[:, :t+1]`` alone."""
+        return np.array(
+            [self.weights[order][t::-1].dot(row[: t + 1]) for row, order in zip(src, self.orders)]
+        )
+
+
 def simulate(scenario: "Scenario") -> Trajectory:
     """Integrate the delayed closed loop of a validated scenario.
 
@@ -151,16 +282,27 @@ def simulate(scenario: "Scenario") -> Trajectory:
 
         u_i = -gain * sum_k a_ik * (x_i(t_k - tau_i) - x_k(t_k - tau_i)).
 
-    Every agent advances with the same explicit Grunwald-Letnikov update
+    The explicit Grunwald-Letnikov update, solved for the whole history,
+    is the fractional-integral form
 
-        x_{k+1} = x(0) - sum_{j>=1} c_j * (x_{k+1-j} - x(0)) + h**order * u_k,
+        x_K = x(0) + sum_{j=0..K-1} b_j * h**order * u_{K-1-j}
 
-    the sum running over the retained memory and stopping at the agent's
-    last nonzero weight. An integer-order agent's weights end at
-    ``c_1 = -1``, which makes its update forward Euler. States before
-    t = 0 equal the initial state. Delays are rounded to the nearest grid
-    multiple. Stepping stops early with ``diverged_at`` set if a state
-    overflows.
+    with the weights of ``integral_weights`` (all 1 for an integer-order
+    agent, whose update is then forward Euler). Since ``u_k`` reads states
+    at least ``min lag`` steps old, a block of ``min lag + 1`` inputs is
+    formed at once from known states. Short blocks are grouped into
+    panels of up to ``DIRECT_MAX`` steps, and each block adds its sums over
+    the current panel with one Toeplitz product (an FFT product for a block
+    longer than ``DIRECT_MAX``). The sums over earlier panels come from a
+    dyadic online convolution (Hairer, Lubich and Schlichte, 1985): at
+    panel boundary ``p``, with ``L = p & -p``, the inputs of panels
+    ``[p-L, p)`` are convolved with the weights and added to the states of
+    panels ``[p, p+L)``, directly for short products and by FFT for long
+    ones. The cost is O(steps * log(steps)**2) per agent plus a fixed
+    interpreter cost per block, so a zero delay, with one-step blocks, is
+    the slow case. States before t = 0 equal the initial state. Delays are
+    rounded to the nearest grid multiple. Stepping stops early with
+    ``diverged_at`` set at the first step whose state is not finite.
     """
     g = scenario.graph
     n = g.n
@@ -168,57 +310,79 @@ def simulate(scenario: "Scenario") -> Trajectory:
     gain = scenario.gain
     h = scenario.solver.step
     x0 = np.asarray(scenario.initial, dtype=float)
-    step_pow = np.array([h ** agent.order for agent in scenario.agents])
+    step_pow = np.array([h ** agent.order for agent in scenario.agents])[:, None]
+    memory = None if scenario.solver.memory == "full" else int(scenario.solver.memory)
 
     # A step count beyond what numpy can allocate (a step tiny against the
     # horizon) is reported against the scenario key that set it.
     try:
         steps = int(round(scenario.solver.horizon / h))
-        if scenario.solver.memory == "full":
-            mem_len = steps + 1
-        else:
-            mem_len = min(int(scenario.solver.memory), steps + 1)
-
-        # Per agent: weights c_m .. c_1 (reversed) so the memory sum is a
-        # contiguous dot product against the trailing history window.
-        rev_weights = []
-        for agent in scenario.agents:
-            table = gl_coefficients(agent.order, mem_len)[1:]
-            rev_weights.append(table[: np.flatnonzero(table)[-1] + 1][::-1].copy())
-
         # A lag past the horizon only ever reads the prehistory, so lags clip
         # at ``steps`` and the prehistory never needs more than ``steps`` columns.
         lags = np.array([round(min(agent.delay / h, steps)) for agent in scenario.agents])
         pad = int(lags.max())
         base = pad - lags
-
-        states = np.empty((n, pad + steps + 1))
-        states[:, : pad + 1] = x0[:, None]
-        deviations = np.zeros((n, steps + 1))
+        block = int(lags.min()) + 1
+        history = _HistorySum([agent.order for agent in scenario.agents], steps, memory)
+        # Columns past the current block hold x(0) plus the far-field sums
+        # added so far; a column is final once its block is done.
+        states = np.repeat(x0[:, None], pad + steps + 1, axis=1)
+        inputs = np.empty((n, steps))
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ValueError(
             f"key 'solver' is invalid: {scenario.solver.horizon / h:.3g} steps "
             f"cannot be allocated ({exc})"
         ) from exc
-    memory = np.empty(n)
 
+    # Short blocks are grouped into panels of up to DIRECT_MAX steps: the
+    # history inside a panel is one direct product per block, and the
+    # dyadic scheme runs over panels.
+    span = max(1, DIRECT_MAX // block) * block
+    panels = -(-steps // span)
+    # cols[i, t] + start: the column agent i reads at step start + t.
+    cols = base[:, None] + np.arange(block)
+    coupling = w.T[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            # lagged[i, j] = x_j(t_k - tau_i): one gather for every agent's lag.
-            lagged = states.take(base + k, axis=1).T
-            # Differences first: identical states give exactly zero input.
-            u = -gain * (w * (lagged.diagonal()[:, None] - lagged)).sum(axis=1)
-            for i, weights in enumerate(rev_weights):
-                m = min(k + 1, weights.size)
-                memory[i] = deviations[i, k + 1 - m : k + 1].dot(weights[-m:])
-            new = x0 - memory + step_pow * u
-            states[:, pad + k + 1] = new
-            deviations[:, k + 1] = new - x0
-            if not np.isfinite(new).all():
-                return Trajectory(
-                    times=np.arange(k + 1) * h,
-                    states=states[:, pad : pad + k + 1].copy(),
-                    diverged_at=(k + 1) * h,
+        for p in range(panels):
+            first = p * span
+            if p:
+                # Far field. A level's weight transforms stay cached while
+                # two more uses follow; the widest levels recompute them
+                # rather than hold them.
+                level = p & -p
+                width = level * span
+                end = min(first + width, steps)
+                history.add(
+                    states[:, pad + first + 1 : pad + end + 1],
+                    width, width, inputs[:, first - width : first],
+                    keep=p + 4 * level < panels,
                 )
+            for start in range(first, min(first + span, steps), block):
+                stop = min(start + block, steps)
+                # lagged[j, i, t] = x_j(t_{start+t} - tau_i): one gather per block.
+                lagged = states.take(cols[:, : stop - start] + start, axis=1)
+                # Differences first: identical states give exactly zero input.
+                u = -gain * (coupling * (lagged.diagonal().T - lagged)).sum(axis=0)
+                inputs[:, start:stop] = step_pow * u
+                panel = inputs[:, first:stop]
+                target = states[:, pad + start + 1 : pad + stop + 1]
+                new = target.copy()
+                history.add(new, start - first, span, panel)
+                if np.isfinite(new).all():
+                    target[...] = new
+                    continue
+                # Redo the block one step at a time: a non-finite input
+                # poisons the earlier rows of the masked product (0 * inf)
+                # and the FFT.
+                for t in range(stop - start):
+                    row = target[:, t] + history.step(panel, start - first + t)
+                    if not np.isfinite(row).all():
+                        k = start + t + 1
+                        return Trajectory(
+                            times=np.arange(k) * h,
+                            states=states[:, pad : pad + k].copy(),
+                            diverged_at=k * h,
+                        )
+                    target[:, t] = row
 
     return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad:])

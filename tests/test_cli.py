@@ -198,6 +198,16 @@ class TestErrorPaths:
         assert "key 'solver'" in err
         assert f"{30.0 / step:.3g} steps" in err
 
+    def test_non_finite_step_count_exit_two(self, tmp_path, capsys):
+        payload = json.loads(CONFIG.read_text())
+        payload["solver"]["h"] = 1e-320
+        path = tmp_path / "denormal_step.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'solver' is invalid" in err
+        assert "delay" not in err
+
 
 class TestModuleEntryPoint:
     @staticmethod

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import binom
@@ -16,6 +18,7 @@ from fracconsensus import (
     gl_coefficients,
     simulate,
 )
+from fracconsensus.fracsolve import DIRECT_MAX, _HistorySum, integral_weights
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
 
@@ -62,6 +65,52 @@ class TestGLCoefficients:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match="count"):
             gl_coefficients(0.5, -1)
+
+
+class TestIntegralWeights:
+    @pytest.mark.parametrize("memory", [None, 1, 7])
+    def test_order_one_is_all_ones(self, memory):
+        assert integral_weights(1.0, 50, memory).tolist() == [1.0] * 50
+
+    def test_recurrence(self):
+        b = integral_weights(0.7, 4)
+        assert b == pytest.approx([1.0, 0.7, 0.7 * 1.7 / 2, 0.7 * 1.7 * 2.7 / 6], rel=1e-15)
+
+    @pytest.mark.parametrize("order", [0.3, 0.75, 0.95])
+    def test_full_memory_inverts_gl_weights(self, order):
+        count = 3000
+        product = np.convolve(gl_coefficients(order, count - 1), integral_weights(order, count))
+        assert np.max(np.abs(product[:count] - np.eye(1, count)[0])) < 1e-13
+
+    @pytest.mark.parametrize("order, memory", [(0.3, 1), (0.75, 40), (0.95, 500)])
+    def test_truncated_memory_inverts_truncated_weights(self, order, memory):
+        count = 5000
+        b = integral_weights(order, count, memory)
+        assert np.array_equal(b[: memory + 1], integral_weights(order, memory + 1))
+        product = np.convolve(gl_coefficients(order, memory), b)
+        assert np.max(np.abs(product[:count] - np.eye(1, count)[0])) < 1e-12
+
+    def test_memory_past_the_count_is_full(self):
+        assert np.array_equal(integral_weights(0.6, 100, 99), integral_weights(0.6, 100))
+
+
+class TestHistorySum:
+    @pytest.mark.parametrize("off", [0, 1024])
+    def test_fft_product_near_overflow(self, off):
+        # Alternating inputs near the overflow threshold: every output is a
+        # finite sum, but an unscaled transform of them overflows.
+        orders, width = [1.0, 0.6], 1024
+        assert width > DIRECT_MAX
+        history = _HistorySum(orders, 2 * width, None)
+        src = np.tile(1e306 * (-1.0) ** np.arange(width), (2, 1))
+        out = np.zeros((2, width))
+        history.add(out, off, width, src)
+        for i, order in enumerate(orders):
+            # The oracle scales by an exact power of two as well.
+            product = np.convolve(integral_weights(order, 2 * width), np.ldexp(src[i], -600))
+            expected = np.ldexp(product[off : off + width], 600)
+            assert np.all(np.isfinite(expected))
+            assert np.max(np.abs(out[i] - expected)) <= 1e-12 * 1e306
 
 
 class TestCaputoOfMonomial:
@@ -129,6 +178,10 @@ class TestAgentAndSolverValidation:
     def test_solver_rejects_short_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             SolverParams(step=0.5, horizon=0.25)
+
+    def test_solver_rejects_non_finite_step_count(self):
+        with pytest.raises(ValueError, match="finite step count"):
+            SolverParams(step=1e-320, horizon=30.0)
 
     def test_solver_rejects_bad_memory(self):
         with pytest.raises(ValueError, match="memory"):
@@ -294,8 +347,54 @@ def random_mixed_scenario(seed):
     )
 
 
+def benchmark_shaped_scenario(seed):
+    """n=8, four order-1 and four fractional agents, distinct lags from 2
+    to 600 steps (the shortest is 2), h = 1e-3, 5000 steps."""
+    rng = np.random.default_rng(seed)
+    n, step = 8, 1e-3
+    orders = [1.0] * 4 + [float(v) for v in rng.uniform(0.7, 0.95, 4)]
+    lags = [2] + [int(v) for v in rng.choice(np.arange(3, 601), n - 1, replace=False)]
+    perm = rng.permutation(n)
+    return Scenario(
+        graph=random_digraph(rng, n, edge_prob=0.3),
+        agents=tuple(
+            AgentModel(id=i + 1, order=orders[perm[i]], delay=lags[perm[i]] * step)
+            for i in range(n)
+        ),
+        gain=float(rng.uniform(0.5, 1.0)),
+        initial=tuple(rng.uniform(0.0, 1.0, n)),
+        solver=SolverParams(step=step, horizon=5.0),
+    )
+
+
+def fractional_pair(lag_steps, gain, horizon=2.0, memory="full", orders=(0.8, 0.9)):
+    graph = Digraph.from_edges(2, [(1, 2, 1.0), (2, 1, 1.0)])
+    agents = tuple(
+        AgentModel(id=i + 1, order=orders[i], delay=lag_steps * 1e-3) for i in range(2)
+    )
+    return Scenario(
+        graph=graph,
+        agents=agents,
+        gain=gain,
+        initial=(0.0, 1.0),
+        solver=SolverParams(step=1e-3, horizon=horizon, memory=memory),
+    )
+
+
+def widest_level(scenario):
+    """Sources of the widest history product ``simulate`` forms: blocks of
+    ``min lag + 1`` steps, grouped into panels of up to ``DIRECT_MAX`` steps,
+    and dyadic levels of panels."""
+    h = scenario.solver.step
+    steps = int(round(scenario.solver.horizon / h))
+    block = min(round(min(a.delay / h, steps)) for a in scenario.agents) + 1
+    span = max(1, DIRECT_MAX // block) * block
+    panels = -(-steps // span)
+    return span * (1 << ((panels - 1).bit_length() - 1)) if panels > 1 else span
+
+
 class TestReferenceEquivalence:
-    """The one-update stepper against the two-path stepper it replaced."""
+    """The block stepper against the per-step two-path reference stepper."""
 
     @pytest.mark.parametrize(
         "scenario",
@@ -325,6 +424,65 @@ class TestReferenceEquivalence:
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_shaped(self, seed):
+        scenario = benchmark_shaped_scenario(seed)
+        assert widest_level(scenario) > DIRECT_MAX
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.states.shape == ref.states.shape == (8, 5001)
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize("memory", ["full", 700, 37])
+    def test_fft_levels(self, memory):
+        # Zero lag for agent 2: one-step blocks grouped into panels, and
+        # FFT products over more than a thousand sources.
+        scenario = fractional_pair(0, 0.8, horizon=4.0, memory=memory, orders=(0.6, 0.85))
+        scenario = replace(
+            scenario, agents=(replace(scenario.agents[0], delay=0.003), scenario.agents[1])
+        )
+        assert widest_level(scenario) > 16 * DIRECT_MAX
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize("memory", ["full", 120])
+    def test_equal_lags_past_half_the_horizon(self, memory):
+        # 300 steps, every lag 200: two blocks of 201 steps, whose in-block
+        # and far-field products both run through the FFT.
+        scenario = _with_memory(demo_scenario(delay=0.2, step=1e-3, horizon=0.3), memory)
+        assert widest_level(scenario) == 201 > DIRECT_MAX
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            fractional_pair(3, 316.0, horizon=3.0),
+            pair_scenario(delay=0.009, gain=271.0, horizon=10.0),
+        ],
+        ids=["fractional", "integer"],
+    )
+    def test_divergence_through_wide_fft_levels(self, scenario):
+        # Slow growth: the far-field FFTs sum inputs near the overflow
+        # threshold for many steps before the first state overflows.
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert ref.diverged_at is not None
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+
+    def test_divergent_fractional_pair_mid_block(self):
+        # Lag 9: ten-step blocks; the first non-finite state is step 1014,
+        # the fourth of its block.
+        scenario = fractional_pair(9, 1e5)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert ref.diverged_at is not None
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert (traj.states.shape[1] - 1) % 10 == 3
+        assert np.all(np.isfinite(traj.states))
+        assert max_relative_difference(traj, ref) <= 1e-12
 
 
 def _with_memory(scenario, memory):

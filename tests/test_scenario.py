@@ -134,6 +134,13 @@ class TestParse:
             simulate(scen)
         assert str(info.value).startswith("key 'solver' is invalid")
 
+    def test_non_finite_step_count_names_solver(self, tmp_path):
+        # 30 / 1e-320 overflows; the step, not the first delay, is at fault.
+        path = self._write(tmp_path, lambda p: p["solver"].update(h=1e-320))
+        with pytest.raises(ScenarioFormatError, match="key 'solver' is invalid") as info:
+            parse_scenario(path)
+        assert "delay" not in str(info.value)
+
     def test_memory_defaults_to_full(self, tmp_path):
         path = self._write(tmp_path, lambda p: p["solver"].pop("memory"))
         assert parse_scenario(path).solver.memory == "full"
