@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,17 +55,11 @@ class AgentModel:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Grid step ``step``, horizon, and memory policy for the history sum.
-
-    ``memory`` is either ``"full"`` or a positive integer ``N``: the
-    Grunwald-Letnikov weights stop at ``c_N`` (the short-memory principle).
-    The stepper uses the series inverse of the truncated weights, so ``N``
-    changes the result, not the cost.
-    """
+    """Grid step ``step`` and horizon of the uniform time grid; the history
+    sum always runs over the whole Caputo history."""
 
     step: float = 1e-3
     horizon: float = 30.0
-    memory: Union[str, int] = "full"
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -77,11 +71,6 @@ class SolverParams:
                 f"horizon / step is not a finite step count "
                 f"(horizon {self.horizon}, step {self.step})"
             )
-        if self.memory != "full":
-            if isinstance(self.memory, bool) or not isinstance(self.memory, int):
-                raise ValueError(f"memory must be 'full' or a positive integer, got {self.memory!r}")
-            if self.memory < 1:
-                raise ValueError(f"memory must be >= 1, got {self.memory}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,37 +144,18 @@ def gl_caputo_estimate(samples, order: float, step: float) -> float:
     return float(step ** (-order) * np.dot(c, f[::-1] - f[0]))
 
 
-def integral_weights(order: float, count: int, memory: int | None = None) -> np.ndarray:
+def integral_weights(order: float, count: int) -> np.ndarray:
     """Weights ``b_0 .. b_{count-1}`` of the fractional-integral form
 
         x_K - x(0) = h**order * sum_{j=0..K-1} b_j * u_{K-1-j},
 
     the power series of ``1 / C(z)`` where ``C(z) = sum_j c_j z**j`` holds
-    the Grunwald-Letnikov weights. With full memory they are the
-    coefficients of ``(1 - z)**(-order)``, ``b_j = b_{j-1} * (j-1+order)/j``,
-    all equal to 1 at ``order = 1``, whose weights end at ``c_1`` so that no
-    memory truncates them. With ``memory = N`` the weights stop at
-    ``c_N``; the first ``N + 1`` of ``b`` are unchanged and the rest follow
-    from doubling: given ``b_0 .. b_{m-1}``, the truncated recurrence makes
-    ``b_m .. b_{2m-1}`` the lower-triangular Toeplitz product of
-    ``b_0 .. b_{m-1}`` with the part of ``-sum c_j b_{n-j}`` that reads
-    ``b_0 .. b_{m-1}``. Every term is nonnegative, so nothing cancels.
+    the Grunwald-Letnikov weights: the coefficients of
+    ``(1 - z)**(-order)``, ``b_j = b_{j-1} * (j-1+order)/j``, all equal to
+    1 at ``order = 1``.
     """
     j = np.arange(1, count)
-    weights = np.cumprod(np.concatenate(([1.0], (j - 1.0 + order) / j)))
-    if memory is None or memory >= count - 1 or order == 1.0:
-        return weights
-    tail = -gl_coefficients(order, memory)
-    tail[0] = 0.0
-    weights = weights[: memory + 1]
-    while weights.size < count:
-        m = weights.size
-        size = _fft_size(2 * m)
-        spec = np.fft.rfft(weights, size)
-        known = np.fft.irfft(spec * np.fft.rfft(tail, size), size)[m : 2 * m]
-        new = np.fft.irfft(spec * np.fft.rfft(known, size), size)[: min(m, count - m)]
-        weights = np.concatenate((weights, new))
-    return weights
+    return np.cumprod(np.concatenate(([1.0], (j - 1.0 + order) / j)))
 
 
 def _fft_size(n: int) -> int:
@@ -221,15 +191,15 @@ class _HistorySum:
     Short products use one cached Toeplitz matrix of ``2 * width`` rows per
     width; long ones use weight transforms, cached per ``(off, width)``
     unless ``keep`` is false, and run one agent at a time, so the
-    transforms of a wide level are never all in memory at once.
+    transforms of a wide level are never all held at once.
     """
 
-    def __init__(self, orders, count: int, memory: int | None):
+    def __init__(self, orders, count: int):
         self.orders = orders
         self.agents = {}
         for i, order in enumerate(orders):
             self.agents.setdefault(order, []).append(i)
-        self.weights = {order: integral_weights(order, count, memory) for order in self.agents}
+        self.weights = {order: integral_weights(order, count) for order in self.agents}
         self.toeplitz = {}
         self.spectra = {}
 
@@ -311,7 +281,6 @@ def simulate(scenario: "Scenario") -> Trajectory:
     h = scenario.solver.step
     x0 = np.asarray(scenario.initial, dtype=float)
     step_pow = np.array([h ** agent.order for agent in scenario.agents])[:, None]
-    memory = None if scenario.solver.memory == "full" else int(scenario.solver.memory)
 
     # A step count beyond what numpy can allocate (a step tiny against the
     # horizon) is reported against the scenario key that set it.
@@ -323,7 +292,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
         pad = int(lags.max())
         base = pad - lags
         block = int(lags.min()) + 1
-        history = _HistorySum([agent.order for agent in scenario.agents], steps, memory)
+        history = _HistorySum([agent.order for agent in scenario.agents], steps)
         # Columns past the current block hold x(0) plus the far-field sums
         # added so far; a column is final once its block is done.
         states = np.repeat(x0[:, None], pad + steps + 1, axis=1)

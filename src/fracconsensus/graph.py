@@ -63,11 +63,22 @@ class Digraph:
 
         Node ids in ``edges`` are 1-based; a triple ``(i, k, w)`` sets the
         weight agent ``i`` places on information received from agent ``k``.
+        Each ``(i, k)`` pair may appear once. Raises ``MemoryError`` when
+        the ``n`` x ``n`` weight matrix cannot be allocated.
         """
-        w = np.zeros((n, n))
+        try:
+            w = np.zeros((n, n))
+        except ValueError as exc:
+            # n * n past numpy's size limit: no more allocatable than a
+            # matrix the allocator refuses.
+            raise MemoryError(f"cannot allocate a {n} x {n} weight matrix ({exc})") from exc
+        seen = set()
         for i, k, value in edges:
             if not (1 <= i <= n and 1 <= k <= n):
                 raise ValueError(f"edge ({i}, {k}) out of range for n={n}")
+            if (i, k) in seen:
+                raise ValueError(f"edge ({i}, {k}) is listed more than once")
+            seen.add((i, k))
             w[i - 1, k - 1] = value
         return cls(n=n, weights=w)
 

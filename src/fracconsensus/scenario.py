@@ -7,8 +7,10 @@ A scenario file is UTF-8 JSON with exactly these keys:
     agents  list of {"id", "order", "delay"}, one per agent
     gain    positive number
     init    list of n numbers, the initial states
-    solver  {"h": step, "horizon": seconds, "memory": "full" | int}
-            ("memory" may be omitted and defaults to "full")
+    solver  {"h": step, "horizon": seconds}
+
+The stepper always keeps the full Caputo history. ``solver`` may still hold
+``"memory": "full"``, as older files do; any other ``memory`` is rejected.
 
 Unknown keys are rejected. Delays are snapped to the step grid on parse,
 with a warning when snapping moves a delay by more than 1e-9 s.
@@ -67,14 +69,16 @@ class Scenario:
         object.__setattr__(self, "agents", agents)
         n = self.graph.n
         if [a.id for a in agents] != list(range(1, n + 1)):
-            raise ValueError(f"agent ids must be exactly 1..{n}, each once")
+            raise ValueError(
+                f"key 'agents' is invalid: agent ids must be exactly 1..{n}, each once"
+            )
         if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"gain must be positive, got {self.gain}")
+            raise ValueError(f"key 'gain' is invalid: gain must be positive, got {self.gain}")
         initial = tuple(float(v) for v in self.initial)
         if len(initial) != n:
-            raise ValueError(f"need {n} initial states, got {len(initial)}")
+            raise ValueError(f"key 'init' is invalid: need {n} initial states, got {len(initial)}")
         if not all(math.isfinite(v) for v in initial):
-            raise ValueError("initial states must be finite")
+            raise ValueError("key 'init' is invalid: initial states must be finite")
         object.__setattr__(self, "initial", initial)
 
 
@@ -158,6 +162,8 @@ def parse_scenario(path) -> Scenario:
         edges.append((i, k, weight))
     try:
         graph = Digraph.from_edges(n, edges)
+    except MemoryError as exc:
+        raise ScenarioFormatError(f"key 'n' is invalid: {exc}") from exc
     except ValueError as exc:
         raise ScenarioFormatError(f"key 'edges' is invalid: {exc}") from exc
 
@@ -169,9 +175,9 @@ def parse_scenario(path) -> Scenario:
     horizon = _as_number(_require(solver_raw, "horizon", "solver"), "solver.horizon")
     memory = solver_raw.get("memory", "full")
     if memory != "full":
-        memory = _as_int(memory, "solver.memory")
+        raise ScenarioFormatError(f"key 'solver.memory' must be \"full\", got {memory!r}")
     try:
-        solver = SolverParams(step=step, horizon=horizon, memory=memory)
+        solver = SolverParams(step=step, horizon=horizon)
     except ValueError as exc:
         raise ScenarioFormatError(f"key 'solver' is invalid: {exc}") from exc
 
@@ -235,7 +241,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "solver": {
             "h": scenario.solver.step,
             "horizon": scenario.solver.horizon,
-            "memory": scenario.solver.memory,
         },
     }
 

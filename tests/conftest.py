@@ -18,7 +18,7 @@ def demo_graph() -> Digraph:
     return Digraph.from_edges(4, DEMO_EDGES)
 
 
-def demo_scenario(delay=0.6, gain=1.0, step=1e-3, horizon=30.0, memory="full") -> Scenario:
+def demo_scenario(delay=0.6, gain=1.0, step=1e-3, horizon=30.0) -> Scenario:
     agents = tuple(
         AgentModel(id=i + 1, order=DEMO_ORDERS[i], delay=snap_delay(delay, step))
         for i in range(4)
@@ -28,7 +28,7 @@ def demo_scenario(delay=0.6, gain=1.0, step=1e-3, horizon=30.0, memory="full") -
         agents=agents,
         gain=gain,
         initial=DEMO_INIT,
-        solver=SolverParams(step=step, horizon=horizon, memory=memory),
+        solver=SolverParams(step=step, horizon=horizon),
     )
 
 

@@ -3,8 +3,9 @@ kept as the reference oracle for equivalence tests.
 
 Integer agents advance with forward Euler, fractional agents with the
 explicit GL update, and the lagged inputs are built per group of agents
-that share a delay. Only the weight-table access differs from the original:
-``gl_coefficients`` now returns the array itself.
+that share a delay. Only two things differ from the original:
+``gl_coefficients`` now returns the array itself, and the weight window
+always spans the whole history.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ def reference_simulate(scenario) -> Trajectory:
     delay_steps = np.array([int(round(a.delay / h)) for a in scenario.agents])
     x0 = np.asarray(scenario.initial, dtype=float)
 
-    if scenario.solver.memory == "full":
-        mem_len = steps + 1
-    else:
-        mem_len = min(int(scenario.solver.memory), steps + 1)
+    mem_len = steps + 1
 
     integer_rows = np.flatnonzero(orders == 1.0)
     frac_rows = np.flatnonzero(orders < 1.0)

@@ -68,9 +68,8 @@ class TestGLCoefficients:
 
 
 class TestIntegralWeights:
-    @pytest.mark.parametrize("memory", [None, 1, 7])
-    def test_order_one_is_all_ones(self, memory):
-        assert integral_weights(1.0, 50, memory).tolist() == [1.0] * 50
+    def test_order_one_is_all_ones(self):
+        assert integral_weights(1.0, 50).tolist() == [1.0] * 50
 
     def test_recurrence(self):
         b = integral_weights(0.7, 4)
@@ -82,16 +81,6 @@ class TestIntegralWeights:
         product = np.convolve(gl_coefficients(order, count - 1), integral_weights(order, count))
         assert np.max(np.abs(product[:count] - np.eye(1, count)[0])) < 1e-13
 
-    @pytest.mark.parametrize("order, memory", [(0.3, 1), (0.75, 40), (0.95, 500)])
-    def test_truncated_memory_inverts_truncated_weights(self, order, memory):
-        count = 5000
-        b = integral_weights(order, count, memory)
-        assert np.array_equal(b[: memory + 1], integral_weights(order, memory + 1))
-        product = np.convolve(gl_coefficients(order, memory), b)
-        assert np.max(np.abs(product[:count] - np.eye(1, count)[0])) < 1e-12
-
-    def test_memory_past_the_count_is_full(self):
-        assert np.array_equal(integral_weights(0.6, 100, 99), integral_weights(0.6, 100))
 
 
 class TestHistorySum:
@@ -101,7 +90,7 @@ class TestHistorySum:
         # finite sum, but an unscaled transform of them overflows.
         orders, width = [1.0, 0.6], 1024
         assert width > DIRECT_MAX
-        history = _HistorySum(orders, 2 * width, None)
+        history = _HistorySum(orders, 2 * width)
         src = np.tile(1e306 * (-1.0) ** np.arange(width), (2, 1))
         out = np.zeros((2, width))
         history.add(out, off, width, src)
@@ -182,12 +171,6 @@ class TestAgentAndSolverValidation:
     def test_solver_rejects_non_finite_step_count(self):
         with pytest.raises(ValueError, match="finite step count"):
             SolverParams(step=1e-320, horizon=30.0)
-
-    def test_solver_rejects_bad_memory(self):
-        with pytest.raises(ValueError, match="memory"):
-            SolverParams(memory=0)
-        with pytest.raises(ValueError, match="memory"):
-            SolverParams(memory="short")
 
 
 def euler_reference(scenario):
@@ -305,21 +288,6 @@ class TestSimulate:
         near = simulate(demo_scenario(delay=0.6, horizon=0.5))
         assert np.array_equal(far.states, near.states)
 
-    def test_full_memory_equals_explicit_window(self):
-        full = simulate(leader_follower_scenario(step=1e-2, horizon=3.0))
-        windowed = simulate(_with_memory(leader_follower_scenario(step=1e-2, horizon=3.0), 301))
-        assert np.array_equal(full.states, windowed.states)
-
-    def test_truncated_memory_converges_to_full(self):
-        full = simulate(leader_follower_scenario(step=1e-3, horizon=2.0))
-        scale = np.max(np.abs(full.states))
-        errors = []
-        for memory in (400, 800, 1600):
-            short = simulate(_with_memory(leader_follower_scenario(step=1e-3, horizon=2.0), memory))
-            errors.append(np.max(np.abs(full.states - short.states)) / scale)
-        assert errors[0] > errors[1] > errors[2]
-        assert errors[2] < 1e-3
-
 
 def max_relative_difference(traj, ref):
     return np.max(np.abs(traj.states - ref.states)) / np.max(np.abs(ref.states))
@@ -335,7 +303,6 @@ def random_mixed_scenario(seed):
     orders[0], orders[-1] = 1.0, float(rng.uniform(0.3, 0.99))
     lags = [0, steps + 50] + [int(v) for v in rng.choice(np.arange(1, steps), n - 2, replace=False)]
     lags = [lags[i] for i in rng.permutation(n)]
-    memory = "full" if seed % 3 else int(rng.integers(1, 200))
     return Scenario(
         graph=random_digraph(rng, n, edge_prob=0.6),
         agents=tuple(
@@ -343,7 +310,7 @@ def random_mixed_scenario(seed):
         ),
         gain=float(rng.uniform(0.3, 2.0)),
         initial=tuple(rng.uniform(-1.0, 1.0, n)),
-        solver=SolverParams(step=step, horizon=steps * step, memory=memory),
+        solver=SolverParams(step=step, horizon=steps * step),
     )
 
 
@@ -367,7 +334,7 @@ def benchmark_shaped_scenario(seed):
     )
 
 
-def fractional_pair(lag_steps, gain, horizon=2.0, memory="full", orders=(0.8, 0.9)):
+def fractional_pair(lag_steps, gain, horizon=2.0, orders=(0.8, 0.9)):
     graph = Digraph.from_edges(2, [(1, 2, 1.0), (2, 1, 1.0)])
     agents = tuple(
         AgentModel(id=i + 1, order=orders[i], delay=lag_steps * 1e-3) for i in range(2)
@@ -377,7 +344,7 @@ def fractional_pair(lag_steps, gain, horizon=2.0, memory="full", orders=(0.8, 0.
         agents=agents,
         gain=gain,
         initial=(0.0, 1.0),
-        solver=SolverParams(step=1e-3, horizon=horizon, memory=memory),
+        solver=SolverParams(step=1e-3, horizon=horizon),
     )
 
 
@@ -402,9 +369,8 @@ class TestReferenceEquivalence:
             pair_scenario(),
             leader_follower_scenario(),
             demo_scenario(),
-            demo_scenario(memory=500),
         ],
-        ids=["pair", "leader_follower", "demo", "demo_memory_500"],
+        ids=["pair", "leader_follower", "demo"],
     )
     def test_property_scenarios(self, scenario):
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -433,11 +399,10 @@ class TestReferenceEquivalence:
         assert traj.states.shape == ref.states.shape == (8, 5001)
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    @pytest.mark.parametrize("memory", ["full", 700, 37])
-    def test_fft_levels(self, memory):
+    def test_fft_levels(self):
         # Zero lag for agent 2: one-step blocks grouped into panels, and
         # FFT products over more than a thousand sources.
-        scenario = fractional_pair(0, 0.8, horizon=4.0, memory=memory, orders=(0.6, 0.85))
+        scenario = fractional_pair(0, 0.8, horizon=4.0, orders=(0.6, 0.85))
         scenario = replace(
             scenario, agents=(replace(scenario.agents[0], delay=0.003), scenario.agents[1])
         )
@@ -446,11 +411,10 @@ class TestReferenceEquivalence:
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    @pytest.mark.parametrize("memory", ["full", 120])
-    def test_equal_lags_past_half_the_horizon(self, memory):
+    def test_equal_lags_past_half_the_horizon(self):
         # 300 steps, every lag 200: two blocks of 201 steps, whose in-block
         # and far-field products both run through the FFT.
-        scenario = _with_memory(demo_scenario(delay=0.2, step=1e-3, horizon=0.3), memory)
+        scenario = demo_scenario(delay=0.2, step=1e-3, horizon=0.3)
         assert widest_level(scenario) == 201 > DIRECT_MAX
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape
@@ -484,15 +448,3 @@ class TestReferenceEquivalence:
         assert np.all(np.isfinite(traj.states))
         assert max_relative_difference(traj, ref) <= 1e-12
 
-
-def _with_memory(scenario, memory):
-    solver = SolverParams(
-        step=scenario.solver.step, horizon=scenario.solver.horizon, memory=memory
-    )
-    return Scenario(
-        graph=scenario.graph,
-        agents=scenario.agents,
-        gain=scenario.gain,
-        initial=scenario.initial,
-        solver=solver,
-    )

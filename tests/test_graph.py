@@ -43,6 +43,15 @@ class TestDigraph:
         with pytest.raises(ValueError, match="out of range"):
             Digraph.from_edges(2, [(1, 3, 1.0)])
 
+    def test_from_edges_rejects_repeated_pair(self):
+        with pytest.raises(ValueError, match=r"edge \(2, 1\) is listed more than once"):
+            Digraph.from_edges(2, [(2, 1, 0.7), (1, 2, 1.0), (2, 1, 0.1)])
+
+    def test_from_edges_past_numpy_size_limit(self):
+        # n * n * 8 bytes overflows numpy's size limit, so nothing is allocated.
+        with pytest.raises(MemoryError, match="weight matrix"):
+            Digraph.from_edges(10**10, [])
+
     def test_weights_are_read_only(self):
         g = demo_graph()
         with pytest.raises(ValueError):

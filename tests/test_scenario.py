@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fracconsensus.scenario
 from fracconsensus import (
@@ -29,6 +30,7 @@ from fracconsensus import (
     simulate,
     snap_delay,
 )
+from fracconsensus.cli import run_cli
 from conftest import (
     DEMO_INIT,
     demo_scenario,
@@ -142,8 +144,134 @@ class TestParse:
         assert "delay" not in str(info.value)
 
     def test_memory_defaults_to_full(self, tmp_path):
+        # The shipped config says "memory": "full"; omitting the key is the same.
         path = self._write(tmp_path, lambda p: p["solver"].pop("memory"))
-        assert parse_scenario(path).solver.memory == "full"
+        assert parse_scenario(path) == parse_scenario(CONFIG) == demo_scenario()
+
+    def test_memory_other_than_full_names_key(self, tmp_path):
+        for memory in (500, 0, "short"):
+            path = self._write(tmp_path, lambda p: p["solver"].update(memory=memory))
+            with pytest.raises(ScenarioFormatError, match=r"key 'solver\.memory'"):
+                parse_scenario(path)
+
+    def test_duplicate_edge_names_key(self, tmp_path):
+        # The shipped config already holds [2, 1, 0.7].
+        path = self._write(tmp_path, lambda p: p["edges"].append([2, 1, 0.1]))
+        with pytest.raises(ScenarioFormatError, match=r"key 'edges' is invalid: edge \(2, 1\)"):
+            parse_scenario(path)
+
+    def test_unallocatable_agent_count_names_n(self, tmp_path, monkeypatch, capsys):
+        def refuse(cls, n, edges):
+            raise MemoryError(f"cannot allocate a {n} x {n} weight matrix")
+
+        monkeypatch.setattr(Digraph, "from_edges", classmethod(refuse))
+        path = self._write(tmp_path, lambda p: p.update(n=200000))
+        with pytest.raises(ScenarioFormatError, match="key 'n' is invalid: cannot allocate"):
+            parse_scenario(path)
+        assert run_cli(["bound", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: key 'n' is invalid")
+
+    @pytest.mark.parametrize(
+        "key, mutate",
+        [
+            ("gain", lambda p: p.update(gain=math.nan)),
+            ("init", lambda p: p.update(init=[1e400, 0.2, 0.8, 0.4])),
+            ("agents", lambda p: p["agents"][3].update(id=7)),
+        ],
+        ids=["gain", "init", "agents"],
+    )
+    def test_scenario_level_errors_name_key(self, tmp_path, key, mutate):
+        path = self._write(tmp_path, mutate)
+        with pytest.raises(ScenarioFormatError, match=f"^key '{key}' is invalid: "):
+            parse_scenario(path)
+
+
+SCENARIO_KEYS = ("n", "edges", "agents", "gain", "init", "solver")
+_JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none())
+_SMALL_DICTS = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+# A value of the wrong JSON type for each top-level key.
+_WRONG_TYPE = {
+    "n": st.one_of(_JUNK, st.floats(), st.lists(st.integers(), max_size=2)),
+    "edges": st.one_of(_JUNK, st.integers(), _SMALL_DICTS),
+    "agents": st.one_of(_JUNK, st.integers(), _SMALL_DICTS),
+    "gain": st.one_of(_JUNK, st.lists(st.floats(), max_size=2), _SMALL_DICTS),
+    "init": st.one_of(_JUNK, st.floats(), _SMALL_DICTS),
+    "solver": st.one_of(_JUNK, st.integers(), st.lists(st.integers(), max_size=2)),
+}
+# The path to every scalar of the shipped config; the first part is its
+# top-level key.
+_SLOTS = (
+    [("gain",)]
+    + [("edges", j, c) for j in range(4) for c in range(3)]
+    + [("agents", j, f) for j in range(4) for f in ("id", "order", "delay")]
+    + [("init", j) for j in range(4)]
+    + [("solver", f) for f in ("h", "horizon")]
+)
+
+
+@st.composite
+def malformed_scenarios(draw):
+    """The shipped config (n = 4) with one defect, and the top-level key
+    the error must name."""
+    payload = json.loads(CONFIG.read_text())
+    kind = draw(st.sampled_from(
+        ["drop", "type", "scalar_type", "non_finite", "agent_id", "edge_id",
+         "duplicate_edge", "memory"]
+    ))
+    if kind == "drop":
+        key = draw(st.sampled_from(SCENARIO_KEYS))
+        del payload[key]
+    elif kind == "type":
+        key = draw(st.sampled_from(SCENARIO_KEYS))
+        payload[key] = draw(_WRONG_TYPE[key])
+    elif kind in ("scalar_type", "non_finite"):
+        path = draw(st.sampled_from(_SLOTS))
+        key, target = path[0], payload
+        for part in path[:-1]:
+            target = target[part]
+        values = st.text(max_size=3) if kind == "scalar_type" else st.sampled_from(
+            [math.nan, math.inf, -math.inf]
+        )
+        target[path[-1]] = draw(values)
+    elif kind == "agent_id":
+        key, j = "agents", draw(st.integers(0, 3))
+        others = [a["id"] for m, a in enumerate(payload["agents"]) if m != j]
+        bad = st.one_of(st.integers(-3, 0), st.integers(5, 99), st.sampled_from(others))
+        payload["agents"][j]["id"] = draw(bad)
+    elif kind == "edge_id":
+        key = "edges"
+        edge = payload["edges"][draw(st.integers(0, 3))]
+        edge[draw(st.integers(0, 1))] = draw(st.one_of(st.integers(-3, 0), st.integers(5, 99)))
+    elif kind == "duplicate_edge":
+        key = "edges"
+        i, k, _ = payload["edges"][draw(st.integers(0, 3))]
+        payload["edges"].append([i, k, draw(st.floats(0.0, 5.0))])
+    else:
+        key = "solver"
+        payload["solver"]["memory"] = draw(
+            st.one_of(st.integers(-10, 10**6), st.text(max_size=5).filter(lambda v: v != "full"))
+        )
+    return payload, key
+
+
+@settings(
+    deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=malformed_scenarios())
+def test_malformed_scenarios_name_their_key(tmp_path, capsys, case):
+    payload, key = case
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(path)
+    assert re.search(rf"'{key}[\[.']", str(info.value)), str(info.value)
+    capsys.readouterr()
+    assert run_cli(["bound", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestScenarioValidation:
