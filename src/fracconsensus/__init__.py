@@ -21,12 +21,10 @@ from .fracsolve import (
     simulate,
 )
 from .freqcert import (
-    OmegaGrid,
     Verdict,
     certify,
     characteristic_value,
     critical_frequency_criterion,
-    crossing_scale,
     disc_margin,
     disc_margin_values,
     eigen_loci,
@@ -34,7 +32,6 @@ from .freqcert import (
 )
 from .graph import (
     Digraph,
-    SpectrumError,
     degree_vector,
     has_spanning_root,
     is_symmetric,

@@ -29,6 +29,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {args.stride}")
     scen = sc.parse_scenario(args.scenario)
     traj, result = sc.run_scenario(scen)
     buf = io.StringIO()
@@ -96,7 +98,11 @@ def cmd_certify(args) -> int:
 def cmd_curve(args) -> int:
     scen = sc.parse_scenario(args.scenario)
     orders = [a.order for a in scen.agents]
-    pairs = bounds.gain_delay_curve(scen.graph, orders, args.gamma_min, args.gamma_max, args.samples)
+    try:
+        pairs = bounds.gain_delay_curve(scen.graph, orders, args.gamma_min, args.gamma_max,
+                                        args.samples)
+    except MemoryError as exc:
+        raise ValueError(f"--samples {args.samples} is too large: {exc}") from exc
     buf = io.StringIO()
     sc.write_curve_csv(pairs, buf)
     _emit(buf.getvalue(), args.out)

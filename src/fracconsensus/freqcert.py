@@ -27,36 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import MAX_DENSE_NODES, Digraph, degree_vector, laplacian
+from .graph import Digraph, degree_vector, laplacian
 
 NEGLIGIBLE_LOCUS = 1e-9
+MAX_DENSE_NODES = 64
 
 
 class Verdict(enum.Enum):
     PASS = "Pass"
     FAIL = "Fail"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True, eq=False)
-class OmegaGrid:
-    """Strictly increasing positive frequencies (rad/s)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("grid must be a nonempty 1-d array")
-        if not np.all(v > 0.0):
-            raise ValueError("grid frequencies must be positive")
-        if not np.all(np.diff(v) > 0.0):
-            raise ValueError("grid frequencies must be strictly increasing")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -81,7 +61,6 @@ class CrossingEvent:
 class LociResult:
     """Branch-matched eigenvalue loci and their real-axis crossings."""
 
-    omegas: np.ndarray
     loci: np.ndarray
     crossings: tuple[CrossingEvent, ...]
 
@@ -97,8 +76,9 @@ class CertificateResult:
     verdict: Verdict
 
 
-def omega_grid(agents=(), low: float = 1e-3, high: float = 1e3, points: int = 2000) -> OmegaGrid:
-    """Log-spaced grid plus each delayed agent's critical frequencies.
+def omega_grid(agents=(), low: float = 1e-3, high: float = 1e3, points: int = 2000) -> np.ndarray:
+    """Read-only, strictly increasing log-spaced frequencies (rad/s) plus
+    each delayed agent's critical frequencies.
 
     For every agent with delay ``tau > 0`` the frequencies ``pi/(2*tau)``
     and ``(2 - order)*pi/(2*tau)`` are inserted exactly.
@@ -115,7 +95,8 @@ def omega_grid(agents=(), low: float = 1e-3, high: float = 1e3, points: int = 20
             extra.extend([critical, (2.0 - agent.order) * critical])
     if extra:
         values = np.unique(np.concatenate([values, np.asarray(extra)]))
-    return OmegaGrid(values=values)
+    values.setflags(write=False)
+    return values
 
 
 def critical_frequency_criterion(g: Digraph, agents, gain: float) -> tuple[np.ndarray, bool]:
@@ -145,7 +126,7 @@ def disc_margin_values(omegas, degree: float, gain: float, order: float, delay: 
     return 1.0 + 2.0 * gain * degree * w ** (-order) * np.cos(w * delay + order * math.pi / 2.0)
 
 
-def disc_margin(g: Digraph, agents, gain: float, grid: OmegaGrid) -> tuple[DiscMargin, ...]:
+def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[DiscMargin, ...]:
     """Grid minimum of every agent's disc margin.
 
     Diagnostic only: for any delayed agent the margin tends to
@@ -156,13 +137,13 @@ def disc_margin(g: Digraph, agents, gain: float, grid: OmegaGrid) -> tuple[DiscM
     degrees = degree_vector(g)
     results = []
     for i, agent in enumerate(agents):
-        margins = disc_margin_values(grid.values, float(degrees[i]), gain, agent.order, agent.delay)
+        margins = disc_margin_values(omegas, float(degrees[i]), gain, agent.order, agent.delay)
         idx = int(np.argmin(margins))
         results.append(
             DiscMargin(
                 agent_id=agent.id,
                 min_margin=float(margins[idx]),
-                omega_at_min=float(grid.values[idx]),
+                omega_at_min=float(omegas[idx]),
             )
         )
     return tuple(results)
@@ -191,8 +172,8 @@ def characteristic_value(omega: float, g: Digraph, agents, gain: float) -> compl
     return complex(np.linalg.det(matrix))
 
 
-def eigen_loci(g: Digraph, agents, gain: float, grid: OmegaGrid) -> LociResult:
-    """Eigenvalues of G(jw) over the grid, branch-matched across frequencies.
+def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResult:
+    """Eigenvalues of G(jw) at the frequencies ``omegas``, branch-matched.
 
     Crossings of the real axis are located by sign changes of the imaginary
     part along each matched branch (linear interpolation between grid
@@ -200,9 +181,9 @@ def eigen_loci(g: Digraph, agents, gain: float, grid: OmegaGrid) -> LociResult:
     modulus (the Laplacian zero direction) are ignored.
     """
     if g.n > MAX_DENSE_NODES:
-        raise ValueError(f"eigen loci limited to {MAX_DENSE_NODES} nodes, got {g.n}")
+        raise ValueError(f"key 'n' is invalid: eigen loci limited to {MAX_DENSE_NODES} nodes, "
+                         f"got {g.n}")
     lap = laplacian(g)
-    omegas = grid.values
     loci = np.empty((omegas.size, g.n), dtype=complex)
     for k, omega in enumerate(omegas):
         matrix = gain * (_diagonal_scaling(float(omega), agents)[:, None] * lap)
@@ -233,20 +214,10 @@ def eigen_loci(g: Digraph, agents, gain: float, grid: OmegaGrid) -> LociResult:
                 crossings.append(CrossingEvent(omega_cross, value, value < -1.0))
     crossings.sort(key=lambda ev: ev.omega)
     loci.setflags(write=False)
-    return LociResult(omegas=omegas, loci=loci, crossings=tuple(crossings))
+    return LociResult(loci=loci, crossings=tuple(crossings))
 
 
-def crossing_scale(order: float, delay: float) -> float:
-    """Scale ((2 - order)*pi/(2*delay))**order taking a diagonal locus
-    through -1 + j0; reduces to pi/(2*delay) at order 1."""
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {order}")
-    if not delay > 0.0:
-        raise ValueError(f"delay must be positive, got {delay}")
-    return ((2.0 - order) * math.pi / (2.0 * delay)) ** order
-
-
-def certify(g: Digraph, agents, gain: float, grid: OmegaGrid | None = None) -> CertificateResult:
+def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     """Run all three evidence channels and combine them into a verdict.
 
     Pass when the critical-frequency criterion holds; otherwise Fail when
@@ -254,8 +225,7 @@ def certify(g: Digraph, agents, gain: float, grid: OmegaGrid | None = None) -> C
     (the criterion is sufficient only, so its failure alone decides
     nothing).
     """
-    if grid is None:
-        grid = omega_grid(agents)
+    grid = omega_grid(agents)
     values, passed = critical_frequency_criterion(g, agents, gain)
     margins = disc_margin(g, agents, gain, grid)
     loci = eigen_loci(g, agents, gain, grid)

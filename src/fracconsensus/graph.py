@@ -15,11 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ZERO_EIGENVALUE_TOL = 1e-9
-MAX_DENSE_NODES = 64
-
-
-class SpectrumError(RuntimeError):
-    """Dense eigenvalue iteration failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +90,8 @@ class Digraph:
 class Spectrum:
     """Eigenvalues of a Laplacian, sorted by modulus (then real, imaginary).
 
-    ``zero_multiplicity`` counts eigenvalues with modulus below the zero
-    tolerance.
+    ``zero_multiplicity`` counts eigenvalues with modulus below
+    ``ZERO_EIGENVALUE_TOL``.
     """
 
     eigenvalues: np.ndarray
@@ -148,28 +143,18 @@ def has_spanning_root(g: Digraph) -> tuple[bool, int | None]:
     return False, None
 
 
-def spectrum(
-    matrix: np.ndarray,
-    zero_tol: float = ZERO_EIGENVALUE_TOL,
-    max_nodes: int = MAX_DENSE_NODES,
-) -> Spectrum:
+def spectrum(matrix: np.ndarray) -> Spectrum:
     """All eigenvalues of the Laplacian via a dense solver.
 
-    Intended for desk-scale problems; refuses matrices beyond ``max_nodes``
-    rows. A non-converging eigenvalue iteration raises ``SpectrumError``.
+    A non-converging eigenvalue iteration raises ``np.linalg.LinAlgError``,
+    a ``ValueError``.
     """
-    n = matrix.shape[0]
-    if n > max_nodes:
-        raise ValueError(f"dense spectrum limited to {max_nodes} nodes, got {n}")
-    try:
-        values = np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"eigenvalue computation failed: {exc}") from exc
+    values = np.linalg.eigvals(matrix)
     order = np.lexsort((values.imag, values.real, np.abs(values)))
     values = values[order]
     values.setflags(write=False)
     return Spectrum(
         eigenvalues=values,
         spectral_radius=float(np.abs(values).max()),
-        zero_multiplicity=int(np.count_nonzero(np.abs(values) < zero_tol)),
+        zero_multiplicity=int(np.count_nonzero(np.abs(values) < ZERO_EIGENVALUE_TOL)),
     )

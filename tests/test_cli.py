@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracconsensus.scenario
@@ -24,6 +25,26 @@ def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
     save_scenario(scenario, path)
     return str(path)
+
+
+def ring_config(tmp_path, n=70):
+    """Symmetric unit-weight ring of ``n`` integer agents, more than certify takes."""
+    edges = [[i, i % n + 1, 1.0] for i in range(1, n + 1)]
+    payload = {
+        "n": n,
+        "edges": edges + [[k, i, w] for i, k, w in edges],
+        "agents": [{"id": i, "order": 1.0, "delay": 0.1} for i in range(1, n + 1)],
+        "gain": 1.0,
+        "init": [float(i) for i in range(n)],
+        "solver": {"h": 1e-2, "horizon": 1.0},
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def no_simulation(scenario):
+    raise AssertionError("simulate called")
 
 
 @pytest.fixture
@@ -72,6 +93,21 @@ class TestBoundCommand:
         assert "integer bound: 0.785398" in captured
         assert "shared-delay bound: 0.785398" in captured
 
+    def test_large_symmetric_ring(self, tmp_path, capsys):
+        # rho = 4 for an even ring, so pi / (2 * 4).
+        assert run_cli(["bound", ring_config(tmp_path)]) == 0
+        assert "spectral bound: 0.392699" in capsys.readouterr().out
+
+    def test_eigenvalue_failure_exit_two(self, capsys, monkeypatch):
+        def boom(matrix):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", boom)
+        assert run_cli(["bound", str(GOLDEN / "symmetric_integer_4agent.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: did not converge" in captured.err
+
 
 class TestGoldenOutput:
     # bound and curve print closed forms, so their default output is frozen
@@ -99,6 +135,12 @@ class TestCertifyCommand:
         captured = capsys.readouterr().out
         assert "verdict: Fail" in captured
         assert "left of -1" in captured
+
+    def test_too_many_agents_names_n(self, tmp_path, capsys):
+        assert run_cli(["certify", ring_config(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "key 'n'" in captured.err
 
 
 class TestCurveCommand:
@@ -178,13 +220,32 @@ class TestErrorPaths:
 
     def test_unsnappable_bracket_exit_two(self, capsys, monkeypatch):
         # The bracket is checked before any simulation runs.
-        def no_simulation(scenario):
-            raise AssertionError("simulate called")
-
         monkeypatch.setattr(fracconsensus.scenario, "simulate", no_simulation)
         code = run_cli(["critical", str(CONFIG), "--tau-lo", "0.3", "--tau-hi", "1e308"])
         assert code == 2
         assert "error: tau_hi is invalid" in capsys.readouterr().err
+
+    def test_tol_below_step_exit_two(self, capsys, monkeypatch):
+        # Probes snap to the step grid; a finer tol would bisect forever.
+        monkeypatch.setattr(fracconsensus.scenario, "simulate", no_simulation)
+        code = run_cli(["critical", str(CONFIG), "--tau-lo", "0.3", "--tau-hi", "1.0",
+                        "--tol", "1e-300"])
+        assert code == 2
+        assert "error: tol must be at least the step" in capsys.readouterr().err
+
+    def test_zero_stride_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(fracconsensus.scenario, "simulate", no_simulation)
+        assert run_cli(["simulate", str(CONFIG), "--stride", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--stride" in captured.err
+
+    def test_unallocatable_samples_exit_two(self, capsys):
+        # numpy refuses the 7 TiB gain column at once; nothing is allocated.
+        assert run_cli(["curve", str(CONFIG), "--samples", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
 
     @pytest.mark.parametrize("step", [1e-15, 1e-300])
     def test_unallocatable_step_count_exit_two(self, tmp_path, capsys, step):

@@ -10,12 +10,10 @@ import pytest
 from fracconsensus import (
     AgentModel,
     Digraph,
-    OmegaGrid,
     Verdict,
     certify,
     characteristic_value,
     critical_frequency_criterion,
-    crossing_scale,
     degree_delay_bound,
     disc_margin,
     disc_margin_values,
@@ -45,26 +43,31 @@ def pair_agents(delay, order=1.0):
 class TestOmegaGrid:
     def test_default_range_and_size(self):
         grid = omega_grid()
-        assert grid.values[0] == pytest.approx(1e-3)
-        assert grid.values[-1] == pytest.approx(1e3)
+        assert grid[0] == pytest.approx(1e-3)
+        assert grid[-1] == pytest.approx(1e3)
         assert len(grid) == 2000
+
+    @pytest.mark.parametrize("delay", [0.0, 0.6])
+    def test_read_only_and_strictly_increasing(self, delay):
+        grid = omega_grid(demo_agents(delay=delay))
+        assert grid.ndim == 1
+        assert np.all(np.diff(grid) > 0.0)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
 
     def test_inserts_critical_frequencies(self):
         agents = demo_agents(delay=0.6)
         grid = omega_grid(agents)
         critical = math.pi / 1.2
-        assert critical in grid.values
-        assert 1.1 * critical in grid.values  # order-0.9 agents
-        assert (2.0 - 1.0) * critical in grid.values
+        assert critical in grid
+        assert 1.1 * critical in grid  # order-0.9 agents
+        assert (2.0 - 1.0) * critical in grid
 
     def test_zero_delay_agents_add_nothing(self):
         assert len(omega_grid(demo_agents(delay=0.0))) == 2000
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            OmegaGrid(values=np.array([1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError, match="positive"):
-            OmegaGrid(values=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="low"):
             omega_grid(low=1.0, high=0.5)
 
@@ -196,23 +199,6 @@ class TestEigenLoci:
         significant = result.loci[np.abs(result.loci) > 1e-9]
         angles = np.angle(significant)
         assert np.allclose(angles, expected_angle, atol=1e-8)
-
-
-class TestCrossingScale:
-    def test_integer_order(self):
-        assert crossing_scale(1.0, 1.0) == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_fractional_value(self):
-        assert crossing_scale(0.9, 0.6) == pytest.approx(2.590748054066653, abs=1e-12)
-
-    def test_continuous_at_order_one(self):
-        assert crossing_scale(1.0 - 1e-12, 1.0) == pytest.approx(math.pi / 2, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="delay"):
-            crossing_scale(0.9, 0.0)
-        with pytest.raises(ValueError, match="order"):
-            crossing_scale(1.3, 0.5)
 
 
 class TestCertify:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fracconsensus import (
     Digraph,
-    SpectrumError,
     degree_vector,
     has_spanning_root,
     is_symmetric,
@@ -124,17 +123,12 @@ class TestSpectrum:
     def test_demo_graph_simple_zero(self):
         assert spectrum(laplacian(demo_graph())).zero_multiplicity == 1
 
-    def test_node_cap(self):
-        g = Digraph(n=65, weights=np.zeros((65, 65)))
-        with pytest.raises(ValueError, match="64"):
-            spectrum(laplacian(g))
-
     def test_solver_failure_is_reported(self, monkeypatch):
         def boom(matrix):
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", boom)
-        with pytest.raises(SpectrumError, match="did not converge"):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             spectrum(laplacian(demo_graph()))
 
 
