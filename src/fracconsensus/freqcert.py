@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import Digraph, degree_vector, laplacian
 
 NEGLIGIBLE_LOCUS = 1e-9
 MAX_DENSE_NODES = 64
+LOCI_CHUNK = 32
 
 
 class Verdict(enum.Enum):
@@ -149,12 +150,6 @@ def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[Di
     return tuple(results)
 
 
-def _diagonal_scaling(omega: float, agents) -> np.ndarray:
-    orders = np.array([a.order for a in agents])
-    delays = np.array([a.delay for a in agents])
-    return omega ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + omega * delays))
-
-
 def characteristic_value(omega: float, g: Digraph, agents, gain: float) -> complex:
     """Characteristic determinant det(diag((jw)**a_i) + gain*E(jw)*L) at s = jw.
 
@@ -172,46 +167,101 @@ def characteristic_value(omega: float, g: Digraph, agents, gain: float) -> compl
     return complex(np.linalg.det(matrix))
 
 
+def _sweep(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
+    """Eigenvalues of G(jw), one row per frequency, unmatched (in the order
+    the eigenvalue solver returns them).
+
+    The grid is swept in chunks of ``LOCI_CHUNK`` frequencies, dealt
+    round-robin to the calling thread and one thread per further core this
+    process may run on (at most one per chunk). Each frequency's matrix is
+    ``gain * (scaling[:, None] * lap)``, built in that order in every chunk,
+    so the result does not depend on the chunking. An exception in any
+    thread reaches the caller once every thread has stopped.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # deferred, like scipy.optimize
+
+    n = lap.shape[0]
+    orders = np.array([a.order for a in agents])
+    delays = np.array([a.delay for a in agents])
+    values = np.empty((omegas.size, n), dtype=complex)
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        cores = os.cpu_count() or 1
+    workers = max(1, min(cores, -(-omegas.size // LOCI_CHUNK)))
+    # Allocated here, not per thread: a helper thread's allocator arena
+    # would keep its freed buffer resident.
+    blocks = np.empty((workers, LOCI_CHUNK, n, n), dtype=complex)
+
+    def sweep_chunks(worker: int) -> None:
+        for start in range(worker * LOCI_CHUNK, omegas.size, workers * LOCI_CHUNK):
+            w = omegas[start:start + LOCI_CHUNK, None]
+            matrices = blocks[worker, :w.shape[0]]
+            scaling = w ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + w * delays))
+            np.multiply(scaling[:, :, None], lap, out=matrices)
+            np.multiply(gain, matrices, out=matrices)
+            try:
+                values[start:start + w.shape[0]] = np.linalg.eigvals(matrices)
+            except np.linalg.LinAlgError:
+                # The stacked call does not say which matrix failed.
+                for k, matrix in enumerate(matrices):
+                    try:
+                        values[start + k] = np.linalg.eigvals(matrix)
+                    except np.linalg.LinAlgError as exc:
+                        raise np.linalg.LinAlgError(
+                            f"key 'edges' is invalid: eigenvalues of G(jw) did not converge "
+                            f"at omega {omegas[start + k]:.6g} ({exc})") from exc
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(sweep_chunks, worker) for worker in range(1, workers)]
+        sweep_chunks(0)
+    for helper in helpers:
+        helper.result()
+    return values
+
+
 def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResult:
     """Eigenvalues of G(jw) at the frequencies ``omegas``, branch-matched.
 
-    Crossings of the real axis are located by sign changes of the imaginary
-    part along each matched branch (linear interpolation between grid
-    points); a crossing left of -1 is flagged. Branches of negligible
-    modulus (the Laplacian zero direction) are ignored.
+    The eigenvalues are computed on every core this process may use, with
+    the same result for any number of cores. Crossings of the real axis are
+    located by sign changes of the imaginary part along each matched branch
+    (linear interpolation between grid points), ordered by frequency; a
+    crossing left of -1 is flagged. Branches of negligible modulus (the
+    Laplacian zero direction) are ignored.
     """
+    # Deferred: only certify needs it, and importing scipy.optimize costs
+    # more than the rest of the package's import together.
+    from scipy.optimize import linear_sum_assignment
+
     if g.n > MAX_DENSE_NODES:
         raise ValueError(f"key 'n' is invalid: eigen loci limited to {MAX_DENSE_NODES} nodes, "
                          f"got {g.n}")
-    lap = laplacian(g)
-    loci = np.empty((omegas.size, g.n), dtype=complex)
-    for k, omega in enumerate(omegas):
-        matrix = gain * (_diagonal_scaling(float(omega), agents)[:, None] * lap)
-        values = np.linalg.eigvals(matrix)
-        if k == 0:
-            loci[0] = values[np.lexsort((values.imag, values.real))]
-        else:
-            cost = np.abs(loci[k - 1][:, None] - values[None, :])
-            rows, cols = linear_sum_assignment(cost)
-            loci[k, rows] = values[cols]
+    loci = _sweep(omegas, laplacian(g), gain, agents)
+    if omegas.size:
+        first = loci[0]
+        loci[0] = first[np.lexsort((first.imag, first.real))]
+    for k in range(1, omegas.size):
+        values = loci[k]
+        cost = np.abs(loci[k - 1][:, None] - values[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        loci[k, rows] = values[cols]
 
-    crossings = []
-    for trace in loci.T:
-        im = trace.imag
-        re = trace.real
-        mag = np.abs(trace)
-        for k in range(omegas.size - 1):
-            if mag[k] < NEGLIGIBLE_LOCUS or mag[k + 1] < NEGLIGIBLE_LOCUS:
-                continue
-            a, b = im[k], im[k + 1]
-            if a == 0.0:
-                value = float(re[k])
-                crossings.append(CrossingEvent(float(omegas[k]), value, value < -1.0))
-            elif a * b < 0.0:
-                frac = a / (a - b)
-                omega_cross = float(omegas[k] + frac * (omegas[k + 1] - omegas[k]))
-                value = float(re[k] + frac * (re[k + 1] - re[k]))
-                crossings.append(CrossingEvent(omega_cross, value, value < -1.0))
+    # Rows are branches, so np.nonzero lists the events branch by branch and
+    # the stable sort by frequency orders ties by branch.
+    im, re = loci.imag.T, loci.real.T
+    small = np.abs(loci).T < NEGLIGIBLE_LOCUS
+    a, b = im[:, :-1], im[:, 1:]
+    on_axis = a == 0.0
+    branch, k = np.nonzero((on_axis | (a * b < 0.0)) & ~(small[:, :-1] | small[:, 1:]))
+    on_axis = on_axis[branch, k]
+    a, b = a[branch, k], b[branch, k]
+    frac = a / np.where(on_axis, 1.0, a - b)
+    omega_cross = np.where(on_axis, omegas[k], omegas[k] + frac * (omegas[k + 1] - omegas[k]))
+    value = np.where(on_axis, re[branch, k],
+                     re[branch, k] + frac * (re[branch, k + 1] - re[branch, k]))
+    crossings = [CrossingEvent(o, v, v < -1.0)
+                 for o, v in zip(omega_cross.tolist(), value.tolist())]
     crossings.sort(key=lambda ev: ev.omega)
     loci.setflags(write=False)
     return LociResult(loci=loci, crossings=tuple(crossings))

@@ -147,9 +147,13 @@ def spectrum(matrix: np.ndarray) -> Spectrum:
     """All eigenvalues of the Laplacian via a dense solver.
 
     A non-converging eigenvalue iteration raises ``np.linalg.LinAlgError``,
-    a ``ValueError``.
+    a ``ValueError``, that names the scenario key the Laplacian comes from.
     """
-    values = np.linalg.eigvals(matrix)
+    try:
+        values = np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"key 'edges' is invalid: Laplacian eigenvalues did not converge ({exc})") from exc
     order = np.lexsort((values.imag, values.real, np.abs(values)))
     values = values[order]
     values.setflags(write=False)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 
 import fracconsensus.scenario
 from fracconsensus.cli import run_cli
-from fracconsensus import parse_scenario, save_scenario, scenario_to_dict
+from fracconsensus import laplacian, omega_grid, parse_scenario, save_scenario, scenario_to_dict
+from fracconsensus.freqcert import LOCI_CHUNK
 from conftest import demo_scenario, pair_scenario
+from reference_loci import diagonal_scaling
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -106,7 +109,8 @@ class TestBoundCommand:
         assert run_cli(["bound", str(GOLDEN / "symmetric_integer_4agent.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: did not converge" in captured.err
+        assert "error: key 'edges' is invalid: Laplacian eigenvalues did not converge" \
+            in captured.err
 
 
 class TestGoldenOutput:
@@ -135,6 +139,31 @@ class TestCertifyCommand:
         captured = capsys.readouterr().out
         assert "verdict: Fail" in captured
         assert "left of -1" in captured
+
+    def test_eigenvalue_failure_names_frequency(self, capsys, monkeypatch):
+        # Only the matrix at one frequency of the second chunk fails; with
+        # two cores that chunk is swept on the helper thread.
+        scen = parse_scenario(CONFIG)
+        omega = float(omega_grid(scen.agents)[LOCI_CHUNK + 8])
+        target = scen.gain * (diagonal_scaling(omega, scen.agents)[:, None]
+                              * laplacian(scen.graph))
+        eigvals = np.linalg.eigvals
+
+        def flaky(a):
+            if any(np.array_equal(m, target) for m in np.reshape(a, (-1,) + target.shape)):
+                raise np.linalg.LinAlgError("did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = threading.active_count()
+        assert run_cli(["certify", str(CONFIG)]) == 2
+        assert threading.active_count() == threads
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert (f"error: key 'edges' is invalid: eigenvalues of G(jw) did not converge "
+                f"at omega {omega:.6g}") in captured.err
 
     def test_too_many_agents_names_n(self, tmp_path, capsys):
         assert run_cli(["certify", ring_config(tmp_path)]) == 2
@@ -272,14 +301,25 @@ class TestErrorPaths:
 
 class TestModuleEntryPoint:
     @staticmethod
-    def run_module(*args):
+    def run_python(*args):
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         return subprocess.run(
-            [sys.executable, "-m", "fracconsensus.cli", *args],
-            capture_output=True, text=True, env=env, timeout=120,
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
         )
+
+    @classmethod
+    def run_module(cls, *args):
+        return cls.run_python("-m", "fracconsensus.cli", *args)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is more than half of the import; only certify uses it.
+        result = self.run_python(
+            "-c", "import sys, fracconsensus.cli; print('scipy.optimize' in sys.modules)"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
 
     def test_no_arguments_exit_two(self):
         assert self.run_module().returncode == 2

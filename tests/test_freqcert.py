@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from fracconsensus import (
     omega_grid,
 )
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
+from reference_loci import reference_loci
 
 
 def demo_agents(delay=0.6):
@@ -199,6 +203,47 @@ class TestEigenLoci:
         significant = result.loci[np.abs(result.loci) > 1e-9]
         angles = np.angle(significant)
         assert np.allclose(angles, expected_angle, atol=1e-8)
+
+
+class TestLociMatchReference:
+    """The chunked sweep against the one-frequency-at-a-time loop it
+    replaced: same loci bit for bit, same crossings, on any core count."""
+
+    @staticmethod
+    def check(monkeypatch, cores, g, agents, gain, grid):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
+        try:
+            result = eigen_loci(g, agents, gain, grid)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        loci, crossings = reference_loci(g, agents, gain, grid)
+        assert np.array_equal(result.loci, loci)
+        assert tuple((ev.omega, ev.value, ev.beyond_minus_one) for ev in result.crossings) \
+            == crossings
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_digraphs(self, monkeypatch, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(2, 41))
+        g = random_digraph(rng, n, edge_prob=float(rng.uniform(0.1, 0.6)))
+        agents = tuple(
+            AgentModel(id=i + 1, order=float(rng.choice([1.0, rng.uniform(0.2, 1.0)])),
+                       delay=float(rng.uniform(0.0, 1.5)))
+            for i in range(n)
+        )
+        grid = omega_grid(agents, points=int(rng.integers(100, 300)))
+        self.check(monkeypatch, 1 + seed % 3, g, agents, float(rng.uniform(0.2, 3.0)), grid)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("points", [1, 31, 32, 33, 2048])
+    def test_grid_sizes(self, monkeypatch, cores, points):
+        grid = np.geomspace(1e-3, 1e3, points)
+        self.check(monkeypatch, cores, demo_graph(), demo_agents(0.8), 1.0, grid)
 
 
 class TestCertify:
