@@ -39,6 +39,21 @@ def _check_order(order: float) -> None:
         raise ValueError(f"order must lie in (0, 1], got {order}")
 
 
+def _root_bound(gain: float, scale: float, order: float) -> float:
+    """``pi / (2*(gain*scale)**(1/order))``, the form both bounds share.
+
+    Raises ``OverflowError`` naming the gain when the power overflows.
+    """
+    try:
+        root = (gain * scale) ** (1.0 / order)
+    except OverflowError:
+        root = math.inf
+    if math.isinf(root):
+        raise OverflowError(f"gain {gain:.6g} overflows the delay bound "
+                            f"(gain*{scale:.6g})**(1/{order:g})")
+    return math.pi / (2.0 * root)
+
+
 def _max_degree(g: Digraph) -> float:
     dmax = float(degree_vector(g).max())
     if dmax <= 0.0:
@@ -54,8 +69,7 @@ def degree_delay_bound(g: Digraph, gain: float, order: float) -> float:
     """
     _check_gain(gain)
     _check_order(order)
-    dmax = _max_degree(g)
-    return math.pi / (2.0 * (2.0 * gain * dmax) ** (1.0 / order))
+    return _root_bound(gain, 2.0 * _max_degree(g), order)
 
 
 def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
@@ -71,7 +85,7 @@ def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
     rho = spectrum(laplacian(g)).spectral_radius
     if rho <= 0.0:
         raise InapplicableBoundError(f"{name} requires at least one edge")
-    return math.pi / (2.0 * (gain * rho) ** (1.0 / order))
+    return _root_bound(gain, rho, order)
 
 
 def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:

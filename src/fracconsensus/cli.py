@@ -55,7 +55,10 @@ def _scenario_bound_report(scen) -> bounds.BoundReport:
 
 def cmd_bound(args) -> int:
     scen = sc.parse_scenario(args.scenario)
-    report = _scenario_bound_report(scen)
+    try:
+        report = _scenario_bound_report(scen)
+    except OverflowError as exc:
+        raise ValueError(f"key 'gain' is invalid: {exc}") from exc
     skipped = dict(report.skipped)
     lines = [
         f"gain: {report.gain:.6g}",
@@ -87,10 +90,12 @@ def cmd_certify(args) -> int:
     for margin in cert.disc_margins:
         print(f"agent {margin.agent_id}: min disc margin {margin.min_margin:.6g} "
               f"at omega {margin.omega_at_min:.6g}")
-    beyond = [ev for ev in cert.loci_crossings if ev.beyond_minus_one]
-    print(f"real-axis crossings: {len(cert.loci_crossings)} ({len(beyond)} left of -1)")
-    for ev in beyond:
-        print(f"  crossing at {ev.value:.6g} near omega {ev.omega:.6g}")
+    loci = cert.loci
+    print(f"right-half-plane roots: {'unresolved' if loci.roots is None else loci.roots}")
+    for ev in loci.crossings:
+        print(f"  encirclement {ev.jump:+d} near omega {ev.omega:.6g}")
+    if cert.criterion_pass and loci.jump > 0:
+        print(f"criterion passes, but the loci encircle -1 on net {loci.jump} time(s)")
     print(f"verdict: {cert.verdict.value}")
     return 0 if cert.verdict is freqcert.Verdict.PASS else 1
 
@@ -103,6 +108,8 @@ def cmd_curve(args) -> int:
                                         args.samples)
     except MemoryError as exc:
         raise ValueError(f"--samples {args.samples} is too large: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"--gamma-max {args.gamma_max:g} is too large: {exc}") from exc
     buf = io.StringIO()
     sc.write_curve_csv(pairs, buf)
     _emit(buf.getvalue(), args.out)
@@ -172,8 +179,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (sc.ScenarioFormatError, sc.BisectionBracketError,
-            bounds.InapplicableBoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

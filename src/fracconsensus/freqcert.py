@@ -14,8 +14,8 @@ evidence are computed:
 * the Gerschgorin disc margin over a whole frequency grid (diagnostic: the
   margin is negative as w -> 0 even for comfortably stable systems, the
   verdict therefore never keys on it);
-* the eigenvalue loci of G(jw) with real-axis crossings, flagging crossings
-  left of -1 as practical evidence of an encirclement.
+* the net encirclements of -1 by the eigenvalue loci of G(jw), read from the
+  phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980).
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ import numpy as np
 
 from .graph import Digraph, degree_vector, laplacian
 
-NEGLIGIBLE_LOCUS = 1e-9
 MAX_DENSE_NODES = 64
 LOCI_CHUNK = 32
+RESOLVED_STEP = math.pi / 4.0  # largest distance of a step's phase change from k*2*pi
+REFINE_ROUNDS = 10
 
 
 class Verdict(enum.Enum):
@@ -51,19 +52,19 @@ class DiscMargin:
 
 @dataclass(frozen=True)
 class CrossingEvent:
-    """A locus crossing the real axis at ``value`` near frequency ``omega``."""
+    """Net clockwise turns ``jump`` about -1 in the grid step around ``omega``."""
 
     omega: float
-    value: float
-    beyond_minus_one: bool
+    jump: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LociResult:
-    """Branch-matched eigenvalue loci and their real-axis crossings."""
+    """Encirclement events, net ``jump`` and root count ``2*jump`` (None if inexact)."""
 
-    loci: np.ndarray
     crossings: tuple[CrossingEvent, ...]
+    jump: int
+    roots: int | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +74,7 @@ class CertificateResult:
     criterion_values: np.ndarray
     criterion_pass: bool
     disc_margins: tuple[DiscMargin, ...]
-    loci_crossings: tuple[CrossingEvent, ...]
+    loci: LociResult
     verdict: Verdict
 
 
@@ -178,7 +179,7 @@ def _sweep(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarr
     so the result does not depend on the chunking. An exception in any
     thread reaches the caller once every thread has stopped.
     """
-    from concurrent.futures import ThreadPoolExecutor  # deferred, like scipy.optimize
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only certify sweeps
 
     n = lap.shape[0]
     orders = np.array([a.order for a in agents])
@@ -221,67 +222,65 @@ def _sweep(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarr
 
 
 def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResult:
-    """Eigenvalues of G(jw) at the frequencies ``omegas``, branch-matched.
+    """Net encirclements of -1 by the eigenvalue loci of G(jw) over ``omegas``.
 
-    The eigenvalues are computed on every core this process may use, with
-    the same result for any number of cores. Crossings of the real axis are
-    located by sign changes of the imaginary part along each matched branch
-    (linear interpolation between grid points), ordered by frequency; a
-    crossing left of -1 is flagged. Branches of negligible modulus (the
-    Laplacian zero direction) are ignored.
+    The phase sum jumps by ``2*pi`` where a locus crosses the real axis left
+    of -1 upwards (clockwise about -1), by ``-2*pi`` downwards. A grid step
+    whose phase change lies within ``RESOLVED_STEP`` of ``jump*2*pi`` counts
+    ``jump``; other steps are bisected up to ``REFINE_ROUNDS`` times. The
+    root count ``2*jump`` is exact when every step resolves and the largest
+    Gerschgorin row sum of ``|G|`` is at most 1 at the top of the grid.
     """
-    # Deferred: only certify needs it, and importing scipy.optimize costs
-    # more than the rest of the package's import together.
-    from scipy.optimize import linear_sum_assignment
-
     if g.n > MAX_DENSE_NODES:
         raise ValueError(f"key 'n' is invalid: eigen loci limited to {MAX_DENSE_NODES} nodes, "
                          f"got {g.n}")
-    loci = _sweep(omegas, laplacian(g), gain, agents)
-    if omegas.size:
-        first = loci[0]
-        loci[0] = first[np.lexsort((first.imag, first.real))]
-    for k in range(1, omegas.size):
-        values = loci[k]
-        cost = np.abs(loci[k - 1][:, None] - values[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        loci[k, rows] = values[cols]
+    lap = laplacian(g)
+    orders = np.array([a.order for a in agents])
+    with np.errstate(over="ignore"):
+        radii = gain * np.abs(lap).sum(axis=1)
+        bottom, top = ((radii * w ** -orders).max() for w in (omegas[0], omegas[-1]))
+    if not np.isfinite(bottom):
+        raise ValueError(f"key 'gain' is invalid: G(jw) overflows at omega {omegas[0]:.6g} "
+                         f"with gain {gain:.6g}")
 
-    # Rows are branches, so np.nonzero lists the events branch by branch and
-    # the stable sort by frequency orders ties by branch.
-    im, re = loci.imag.T, loci.real.T
-    small = np.abs(loci).T < NEGLIGIBLE_LOCUS
-    a, b = im[:, :-1], im[:, 1:]
-    on_axis = a == 0.0
-    branch, k = np.nonzero((on_axis | (a * b < 0.0)) & ~(small[:, :-1] | small[:, 1:]))
-    on_axis = on_axis[branch, k]
-    a, b = a[branch, k], b[branch, k]
-    frac = a / np.where(on_axis, 1.0, a - b)
-    omega_cross = np.where(on_axis, omegas[k], omegas[k] + frac * (omegas[k + 1] - omegas[k]))
-    value = np.where(on_axis, re[branch, k],
-                     re[branch, k] + frac * (re[branch, k + 1] - re[branch, k]))
-    crossings = [CrossingEvent(o, v, v < -1.0)
-                 for o, v in zip(omega_cross.tolist(), value.tolist())]
-    crossings.sort(key=lambda ev: ev.omega)
-    loci.setflags(write=False)
-    return LociResult(loci=loci, crossings=tuple(crossings))
+    def phase_sum(w):  # sum_k angle(1 + lambda_k(jw)) needs no eigenvalue order
+        return np.angle(1.0 + _sweep(w, lap, gain, agents)).sum(axis=1)
+
+    phase = phase_sum(omegas)
+    lo, hi, s_lo, s_hi = omegas[:-1], omegas[1:], phase[:-1], phase[1:]
+    events = []
+    for rounds_left in range(REFINE_ROUNDS, -1, -1):
+        jumps = np.rint((s_hi - s_lo) / (2.0 * math.pi))
+        resolved = np.abs(s_hi - s_lo - 2.0 * math.pi * jumps) <= RESOLVED_STEP
+        events += [CrossingEvent(math.sqrt(lo[k] * hi[k]), int(jumps[k]))
+                   for k in np.flatnonzero(resolved & (jumps != 0.0))]
+        lo, hi, s_lo, s_hi = (a[~resolved] for a in (lo, hi, s_lo, s_hi))
+        if not lo.size or not rounds_left:
+            break
+        mid = np.sqrt(lo * hi)
+        s_mid = phase_sum(mid)
+        lo, hi, s_lo, s_hi = (np.concatenate(pair) for pair in
+                              ((lo, mid), (mid, hi), (s_lo, s_mid), (s_mid, s_hi)))
+    events.sort(key=lambda ev: ev.omega)
+    jump = sum(ev.jump for ev in events)
+    exact = not lo.size and top <= 1.0
+    return LociResult(crossings=tuple(events), jump=jump, roots=2 * jump if exact else None)
 
 
 def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     """Run all three evidence channels and combine them into a verdict.
 
     Pass when the critical-frequency criterion holds; otherwise Fail when
-    some locus crosses the real axis left of -1; otherwise Inconclusive
-    (the criterion is sufficient only, so its failure alone decides
-    nothing).
+    the loci encircle -1 on net; otherwise Inconclusive (the criterion is
+    sufficient only, so its failure alone decides nothing).
     """
     grid = omega_grid(agents)
     values, passed = critical_frequency_criterion(g, agents, gain)
+    loci = eigen_loci(g, agents, gain, grid)  # first: it rejects a gain that overflows
     margins = disc_margin(g, agents, gain, grid)
-    loci = eigen_loci(g, agents, gain, grid)
     if passed:
         verdict = Verdict.PASS
-    elif any(ev.beyond_minus_one for ev in loci.crossings):
+    elif loci.jump > 0:
         verdict = Verdict.FAIL
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -290,6 +289,6 @@ def certify(g: Digraph, agents, gain: float) -> CertificateResult:
         criterion_values=values,
         criterion_pass=passed,
         disc_margins=margins,
-        loci_crossings=loci.crossings,
+        loci=loci,
         verdict=verdict,
     )

@@ -1,10 +1,7 @@
-"""The one-frequency-at-a-time eigenvalue loci that preceded the chunked,
-multi-threaded sweep, kept as the reference oracle for equivalence tests.
-
-Only the packaging differs from the original: the loop returns the loci
-array and a tuple of ``(omega, value, beyond_minus_one)`` field tuples
-instead of a ``LociResult``, and ``diagonal_scaling`` is public so that
-tests can rebuild the matrix of one frequency.
+"""Branch-matched eigenvalue loci and their real-axis crossings, one
+frequency at a time: the evidence ``certify`` used before it counted
+encirclements from the phase of ``det(I + G)``, kept as the oracle for that
+count. ``diagonal_scaling`` rebuilds the matrix of one frequency.
 """
 
 from __future__ import annotations

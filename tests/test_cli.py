@@ -138,7 +138,25 @@ class TestCertifyCommand:
         assert run_cli(["certify", config]) == 1
         captured = capsys.readouterr().out
         assert "verdict: Fail" in captured
-        assert "left of -1" in captured
+        assert "right-half-plane roots: 2\n  encirclement +1 near omega" in captured
+
+    def test_criterion_pass_with_encirclement_is_flagged(self, tmp_path, capsys):
+        # At uniform delay 0.77 the shipped system has a pair of roots in the
+        # right half-plane (exact edge 0.76119) while the criterion passes.
+        payload = json.loads(CONFIG.read_text())
+        for agent in payload["agents"]:
+            agent["delay"] = 0.77
+        path = tmp_path / "delay077.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["certify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "criterion pass: True" in lines
+        assert lines[-4:-1] == [
+            "right-half-plane roots: 2",
+            "  encirclement +1 near omega 1.43245",
+            "criterion passes, but the loci encircle -1 on net 1 time(s)",
+        ]
+        assert lines[-1] == "verdict: Pass"
 
     def test_eigenvalue_failure_names_frequency(self, capsys, monkeypatch):
         # Only the matrix at one frequency of the second chunk fails; with
@@ -170,6 +188,42 @@ class TestCertifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "key 'n'" in captured.err
+
+
+class TestGainOverflow:
+    """A finite gain whose delay bound or G(jw) overflows exits 2 naming it."""
+
+    @staticmethod
+    def config(tmp_path, source, gain):
+        payload = json.loads(Path(source).read_text())
+        payload["gain"] = gain
+        path = tmp_path / "huge_gain.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("source, gain", [
+        (CONFIG, 1e306),  # degree bound, order 0.9: the power overflows
+        (GOLDEN / "symmetric_integer_4agent.json", 1e308),  # spectral bound: gain*rho is inf
+    ])
+    def test_bound(self, tmp_path, capsys, source, gain):
+        assert run_cli(["bound", self.config(tmp_path, source, gain)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: key 'gain' is invalid: gain {gain:.6g} "
+                                       f"overflows the delay bound")
+
+    def test_curve(self, capsys):
+        assert run_cli(["curve", str(CONFIG), "--gamma-max", "1e306"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --gamma-max 1e+306 is too large: gain ")
+
+    def test_certify_stderr_is_the_error_line_only(self, tmp_path):
+        result = TestModuleEntryPoint.run_module("certify", self.config(tmp_path, CONFIG, 1e306))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: key 'gain' is invalid: G(jw) overflows at omega 0.001 "
+                                 "with gain 1e+306\n")
 
 
 class TestCurveCommand:
@@ -313,13 +367,15 @@ class TestModuleEntryPoint:
     def run_module(cls, *args):
         return cls.run_python("-m", "fracconsensus.cli", *args)
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize is more than half of the import; only certify uses it.
+    def test_certify_loads_no_scipy(self):
+        # scipy is a test dependency only; the package runs without it.
         result = self.run_python(
-            "-c", "import sys, fracconsensus.cli; print('scipy.optimize' in sys.modules)"
+            "-c", "import sys; from fracconsensus.cli import run_cli; "
+                  f"code = run_cli(['certify', {str(CONFIG)!r}]); "
+                  "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        assert result.stdout.endswith("verdict: Pass\n0 []\n")
 
     def test_no_arguments_exit_two(self):
         assert self.run_module().returncode == 2

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +22,15 @@ from fracconsensus import (
     disc_margin,
     disc_margin_values,
     eigen_loci,
+    laplacian,
     omega_grid,
+    parse_scenario,
 )
+from fracconsensus.freqcert import _sweep
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
-from reference_loci import reference_loci
+from reference_loci import diagonal_scaling, reference_loci
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 
 
 def demo_agents(delay=0.6):
@@ -174,57 +180,119 @@ class TestEigenLoci:
     def test_zero_gain_all_quiet(self):
         grid = omega_grid(pair_agents(0.9))
         result = eigen_loci(pair_graph(), pair_agents(0.9), 0.0, grid)
-        assert np.all(result.loci == 0.0)
         assert result.crossings == ()
+        assert (result.jump, result.roots) == (0, 0)
 
     def test_pair_delay_09_crosses_left_of_minus_one(self):
+        # The nonzero locus 2*exp(-j*(pi/2 + 0.9*w))/w meets the negative
+        # real axis at w = pi/1.8, at -3.6/pi, once.
         grid = omega_grid(pair_agents(0.9))
         result = eigen_loci(pair_graph(), pair_agents(0.9), 1.0, grid)
-        beyond = [ev for ev in result.crossings if ev.beyond_minus_one]
-        assert beyond
-        first = min(beyond, key=lambda ev: ev.omega)
-        assert first.value == pytest.approx(-3.6 / math.pi, abs=5e-3)
-        assert first.omega == pytest.approx(math.pi / 1.8, rel=5e-3)
+        (event,) = result.crossings
+        assert event.jump == 1
+        assert event.omega == pytest.approx(math.pi / 1.8, rel=5e-3)
+        assert (result.jump, result.roots) == (1, 2)
 
     def test_pair_delay_05_crossing_is_right_of_minus_one(self):
+        # Same locus, meeting the axis at -2/pi: no encirclement.
         grid = omega_grid(pair_agents(0.5))
         result = eigen_loci(pair_graph(), pair_agents(0.5), 1.0, grid)
-        assert not any(ev.beyond_minus_one for ev in result.crossings)
-        negatives = [ev for ev in result.crossings if ev.value < 0]
-        first = min(negatives, key=lambda ev: ev.omega)
-        assert first.value == pytest.approx(-2.0 / math.pi, abs=5e-3)
+        assert result.crossings == ()
+        assert (result.jump, result.roots) == (0, 0)
 
     def test_zero_delay_homogeneous_loci_live_on_a_ray(self):
         order = 0.7
         agents = pair_agents(0.0, order=order)
         grid = omega_grid(agents, points=200)
-        result = eigen_loci(pair_graph(), agents, 1.0, grid)
+        values = _sweep(grid, laplacian(pair_graph()), 1.0, agents)
         expected_angle = -order * math.pi / 2.0
-        significant = result.loci[np.abs(result.loci) > 1e-9]
+        significant = values[np.abs(values) > 1e-9]
         angles = np.angle(significant)
         assert np.allclose(angles, expected_angle, atol=1e-8)
 
+    def test_count_unresolved_when_grid_ends_too_low(self):
+        # Gerschgorin puts every eigenvalue inside the unit circle only above
+        # w = 2*gain*d = 2 for this order-1 pair.
+        agents = pair_agents(0.5)
+        low = eigen_loci(pair_graph(), agents, 1.0, np.geomspace(1e-3, 1.9, 500))
+        high = eigen_loci(pair_graph(), agents, 1.0, np.geomspace(1e-3, 2.0, 500))
+        assert (low.jump, low.roots) == (0, None)
+        assert (high.jump, high.roots) == (0, 0)
+
+
+def uniform_roots(g, agents, delay, gain=1.0):
+    agents = tuple(AgentModel(id=a.id, order=a.order, delay=delay) for a in agents)
+    return eigen_loci(g, agents, gain, omega_grid(agents)).roots
+
+
+class TestRootCount:
+    """Right-half-plane root counts against the closed-form stability edges."""
+
+    @pytest.mark.parametrize("delay, roots", [(0.78, 0), (0.79, 2)])
+    def test_pair_edge_at_quarter_pi(self, delay, roots):
+        assert uniform_roots(pair_graph(), pair_agents(0.0), delay) == roots
+
+    @pytest.mark.parametrize("order", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("factor, roots", [(0.99, 0), (1.01, 2)])
+    def test_leader_follower_edge(self, order, factor, roots):
+        g = Digraph.from_edges(2, [(2, 1, 1.0)])
+        agents = (AgentModel(id=1, order=1.0, delay=0.0), AgentModel(id=2, order=order, delay=0.0))
+        edge = (2.0 - order) * math.pi / 2.0
+        assert uniform_roots(g, agents, factor * edge) == roots
+
+    @pytest.mark.parametrize("delay, roots", [(0.761, 0), (0.762, 2), (0.77, 2), (1.5, 4)])
+    def test_shipped_config(self, delay, roots):
+        # Exact uniform-delay edge 0.76119; at 0.761 a locus passes within
+        # 3e-4 of -1, which takes several bisection rounds to resolve.
+        scen = parse_scenario(CONFIG)
+        assert uniform_roots(scen.graph, scen.agents, delay, scen.gain) == roots
+
+    def test_count_matches_branch_matched_crossings(self):
+        # The old evidence, a branch-matched locus crossing the real axis
+        # left of -1, is present exactly when the loci encircle -1 on net.
+        # Log-uniform gains from 0.05 make about 40% of the systems unstable.
+        rng = np.random.default_rng(31)
+        checked = unstable = 0
+        while checked < 100:
+            n = int(rng.integers(2, 12))
+            g = random_digraph(rng, n, edge_prob=float(rng.uniform(0.1, 0.5)))
+            if not g.weights.any():
+                continue
+            agents = tuple(
+                AgentModel(id=i + 1, order=float(rng.choice([1.0, rng.uniform(0.2, 1.0)])),
+                           delay=float(rng.uniform(0.0, 1.5)))
+                for i in range(n)
+            )
+            gain = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+            grid = omega_grid(agents, points=400)
+            _, crossings = reference_loci(g, agents, gain, grid)
+            beyond = any(left_of_minus_one for _, _, left_of_minus_one in crossings)
+            assert (eigen_loci(g, agents, gain, grid).jump > 0) == beyond, checked
+            checked += 1
+            unstable += beyond
+        assert 20 < unstable < 80
+
 
 class TestLociMatchReference:
-    """The chunked sweep against the one-frequency-at-a-time loop it
-    replaced: same loci bit for bit, same crossings, on any core count."""
+    """The chunked sweep against one ``eigvals`` call per frequency: the same
+    eigenvalues in the same order, bit for bit, on any core count."""
 
     @staticmethod
     def check(monkeypatch, cores, g, agents, gain, grid):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
+        lap = laplacian(g)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
         try:
-            result = eigen_loci(g, agents, gain, grid)
+            values = _sweep(grid, lap, gain, agents)
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        loci, crossings = reference_loci(g, agents, gain, grid)
-        assert np.array_equal(result.loci, loci)
-        assert tuple((ev.omega, ev.value, ev.beyond_minus_one) for ev in result.crossings) \
-            == crossings
+        expected = [np.linalg.eigvals(gain * (diagonal_scaling(float(w), agents)[:, None] * lap))
+                    for w in grid]
+        assert np.array_equal(values, np.array(expected).reshape(grid.size, g.n))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_digraphs(self, monkeypatch, seed):
@@ -245,7 +313,6 @@ class TestLociMatchReference:
         grid = np.geomspace(1e-3, 1e3, points)
         self.check(monkeypatch, cores, demo_graph(), demo_agents(0.8), 1.0, grid)
 
-
 class TestCertify:
     def test_demo_delay_06_pass(self):
         cert = certify(demo_graph(), demo_agents(0.6), 1.0)
@@ -257,12 +324,12 @@ class TestCertify:
         cert = certify(demo_graph(), demo_agents(0.8), 1.0)
         assert cert.verdict is Verdict.FAIL
         assert not cert.criterion_pass
-        assert any(ev.beyond_minus_one for ev in cert.loci_crossings)
+        assert cert.loci.jump > 0
 
     def test_leader_follower_inconclusive_band(self):
         # Criterion is conservative for this chain: it trips at pi/4 while
-        # the true margin is pi/2, so delay 1.0 fails the criterion without
-        # any locus crossing left of -1.
+        # the true margin is pi/2, so delay 1.0 fails the criterion while
+        # the loci do not encircle -1.
         g = Digraph.from_edges(2, [(2, 1, 1.0)])
         agents = (
             AgentModel(id=1, order=1.0, delay=1.0),
@@ -270,7 +337,7 @@ class TestCertify:
         )
         cert = certify(g, agents, 1.0)
         assert not cert.criterion_pass
-        assert not any(ev.beyond_minus_one for ev in cert.loci_crossings)
+        assert (cert.loci.jump, cert.loci.roots) == (0, 0)
         assert cert.verdict is Verdict.INCONCLUSIVE
 
     def test_criterion_implied_below_degree_bound_homogeneous(self):
