@@ -42,8 +42,12 @@ def _check_order(order: float) -> None:
 def _root_bound(gain: float, scale: float, order: float) -> float:
     """``pi / (2*(gain*scale)**(1/order))``, the form both bounds share.
 
-    Raises ``OverflowError`` naming the gain when the power overflows.
+    Raises ``ValueError`` naming the edges when the graph's own ``scale``
+    overflows, and ``OverflowError`` naming the gain when only the power does.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"key 'edges' is invalid: the edge weights overflow the delay "
+                         f"bound (gain*{scale:.6g})**(1/{order:g})")
     try:
         root = (gain * scale) ** (1.0 / order)
     except OverflowError:
@@ -51,7 +55,7 @@ def _root_bound(gain: float, scale: float, order: float) -> float:
     if math.isinf(root):
         raise OverflowError(f"gain {gain:.6g} overflows the delay bound "
                             f"(gain*{scale:.6g})**(1/{order:g})")
-    return math.pi / (2.0 * root)
+    return math.pi / 2.0 / root  # not pi / (2*root): 2*root can overflow
 
 
 def _max_degree(g: Digraph) -> float:

@@ -15,14 +15,14 @@ evidence are computed:
   margin is negative as w -> 0 even for comfortably stable systems, the
   verdict therefore never keys on it);
 * the net encirclements of -1 by the eigenvalue loci of G(jw), read from the
-  phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980).
+  phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980),
+  from one LU factorisation per frequency, on the calling thread.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,68 +168,52 @@ def characteristic_value(omega: float, g: Digraph, agents, gain: float) -> compl
     return complex(np.linalg.det(matrix))
 
 
-def _sweep(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
-    """Eigenvalues of G(jw), one row per frequency, unmatched (in the order
-    the eigenvalue solver returns them).
-
-    The grid is swept in chunks of ``LOCI_CHUNK`` frequencies, dealt
-    round-robin to the calling thread and one thread per further core this
-    process may run on (at most one per chunk). Each frequency's matrix is
-    ``gain * (scaling[:, None] * lap)``, built in that order in every chunk,
-    so the result does not depend on the chunking. An exception in any
-    thread reaches the caller once every thread has stopped.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # deferred: only certify sweeps
-
-    n = lap.shape[0]
+def _open_loop(omegas: np.ndarray, lap: np.ndarray, gain: float, agents, out=None):
+    """G(jw) at each of ``omegas``, one matrix per frequency (in ``out`` if given)."""
     orders = np.array([a.order for a in agents])
     delays = np.array([a.delay for a in agents])
-    values = np.empty((omegas.size, n), dtype=complex)
+    w = omegas[:, None]
+    scaling = w ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + w * delays))
+    matrices = np.multiply(scaling[:, :, None], lap, out=out)
+    return np.multiply(gain, matrices, out=matrices)
+
+
+def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
+    """``exp(j*angle(det(I + G(jw))))`` at each of ``omegas`` from one LU
+    factorisation each, built ``LOCI_CHUNK`` frequencies at a time in one buffer."""
+    block = np.empty((LOCI_CHUNK,) + lap.shape, dtype=complex)
+    eye = np.eye(lap.shape[0])
+    phase = np.empty(omegas.size, dtype=complex)
+    for start in range(0, omegas.size, LOCI_CHUNK):
+        w = omegas[start:start + LOCI_CHUNK]
+        matrices = _open_loop(w, lap, gain, agents, block[:w.size])
+        phase[start:start + w.size] = np.linalg.slogdet(np.add(matrices, eye, out=matrices))[0]
+    return phase
+
+
+def _phase_sum(omega: float, lap: np.ndarray, gain: float, agents) -> float:
+    """``sum_k angle(1 + lambda_k(jw))`` from one eigenproblem."""
     try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity query on this platform
-        cores = os.cpu_count() or 1
-    workers = max(1, min(cores, -(-omegas.size // LOCI_CHUNK)))
-    # Allocated here, not per thread: a helper thread's allocator arena
-    # would keep its freed buffer resident.
-    blocks = np.empty((workers, LOCI_CHUNK, n, n), dtype=complex)
-
-    def sweep_chunks(worker: int) -> None:
-        for start in range(worker * LOCI_CHUNK, omegas.size, workers * LOCI_CHUNK):
-            w = omegas[start:start + LOCI_CHUNK, None]
-            matrices = blocks[worker, :w.shape[0]]
-            scaling = w ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + w * delays))
-            np.multiply(scaling[:, :, None], lap, out=matrices)
-            np.multiply(gain, matrices, out=matrices)
-            try:
-                values[start:start + w.shape[0]] = np.linalg.eigvals(matrices)
-            except np.linalg.LinAlgError:
-                # The stacked call does not say which matrix failed.
-                for k, matrix in enumerate(matrices):
-                    try:
-                        values[start + k] = np.linalg.eigvals(matrix)
-                    except np.linalg.LinAlgError as exc:
-                        raise np.linalg.LinAlgError(
-                            f"key 'edges' is invalid: eigenvalues of G(jw) did not converge "
-                            f"at omega {omegas[start + k]:.6g} ({exc})") from exc
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        helpers = [pool.submit(sweep_chunks, worker) for worker in range(1, workers)]
-        sweep_chunks(0)
-    for helper in helpers:
-        helper.result()
-    return values
+        values = np.linalg.eigvals(_open_loop(np.array([omega]), lap, gain, agents)[0])
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"key 'edges' is invalid: eigenvalues of G(jw) did not converge "
+            f"at omega {omega:.6g} ({exc})") from exc
+    return float(np.angle(1.0 + values).sum())
 
 
 def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResult:
     """Net encirclements of -1 by the eigenvalue loci of G(jw) over ``omegas``.
 
-    The phase sum jumps by ``2*pi`` where a locus crosses the real axis left
-    of -1 upwards (clockwise about -1), by ``-2*pi`` downwards. A grid step
-    whose phase change lies within ``RESOLVED_STEP`` of ``jump*2*pi`` counts
-    ``jump``; other steps are bisected up to ``REFINE_ROUNDS`` times. The
-    root count ``2*jump`` is exact when every step resolves and the largest
-    Gerschgorin row sum of ``|G|`` is at most 1 at the top of the grid.
+    ``S(w) = sum_k angle(1 + lambda_k(jw))`` follows the phase of
+    ``det(I + G)`` but jumps by ``2*pi`` where a locus crosses the real axis
+    left of -1 upwards (clockwise about -1), by ``-2*pi`` downwards. Steps
+    whose wrapped phase change exceeds ``RESOLVED_STEP`` are bisected up to
+    ``REFINE_ROUNDS`` times. A run of adjacent resolved steps counts
+    ``(S(end) - S(start) - sum of changes) / (2*pi)``; bisection over its
+    steps places the events, merging opposite events inside one probe
+    interval. The root count ``2*jump`` is exact when every step resolves and
+    the largest Gerschgorin row sum of ``|G|`` is at most 1 at the grid top.
     """
     if g.n > MAX_DENSE_NODES:
         raise ValueError(f"key 'n' is invalid: eigen loci limited to {MAX_DENSE_NODES} nodes, "
@@ -237,33 +221,48 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     lap = laplacian(g)
     orders = np.array([a.order for a in agents])
     with np.errstate(over="ignore"):
-        radii = gain * np.abs(lap).sum(axis=1)
-        bottom, top = ((radii * w ** -orders).max() for w in (omegas[0], omegas[-1]))
+        scale = np.abs(lap).sum(axis=1)
+        bottom, top = ((gain * scale * w ** -orders).max() for w in (omegas[0], omegas[-1]))
+    if not np.isfinite(scale).all():
+        raise ValueError("key 'edges' is invalid: the row sums of |L| overflow")
     if not np.isfinite(bottom):
         raise ValueError(f"key 'gain' is invalid: G(jw) overflows at omega {omegas[0]:.6g} "
                          f"with gain {gain:.6g}")
 
-    def phase_sum(w):  # sum_k angle(1 + lambda_k(jw)) needs no eigenvalue order
-        return np.angle(1.0 + _sweep(w, lap, gain, agents)).sum(axis=1)
-
-    phase = phase_sum(omegas)
-    lo, hi, s_lo, s_hi = omegas[:-1], omegas[1:], phase[:-1], phase[1:]
-    events = []
-    for rounds_left in range(REFINE_ROUNDS, -1, -1):
-        jumps = np.rint((s_hi - s_lo) / (2.0 * math.pi))
-        resolved = np.abs(s_hi - s_lo - 2.0 * math.pi * jumps) <= RESOLVED_STEP
-        events += [CrossingEvent(math.sqrt(lo[k] * hi[k]), int(jumps[k]))
-                   for k in np.flatnonzero(resolved & (jumps != 0.0))]
-        lo, hi, s_lo, s_hi = (a[~resolved] for a in (lo, hi, s_lo, s_hi))
-        if not lo.size or not rounds_left:
+    points, phase = omegas, _det_phase(omegas, lap, gain, agents)
+    for rounds in range(REFINE_ROUNDS + 1):
+        turns = np.angle(phase[1:] * phase[:-1].conj())  # wrapped phase change of each step
+        split = np.flatnonzero(np.abs(turns) > RESOLVED_STEP)
+        if not split.size or rounds == REFINE_ROUNDS:
             break
-        mid = np.sqrt(lo * hi)
-        s_mid = phase_sum(mid)
-        lo, hi, s_lo, s_hi = (np.concatenate(pair) for pair in
-                              ((lo, mid), (mid, hi), (s_lo, s_mid), (s_mid, s_hi)))
-    events.sort(key=lambda ev: ev.omega)
-    jump = sum(ev.jump for ev in events)
-    exact = not lo.size and top <= 1.0
+        mid = np.sqrt(points[split] * points[split + 1])
+        points = np.insert(points, split + 1, mid)
+        phase = np.insert(phase, split + 1, _det_phase(mid, lap, gain, agents))
+    unwrapped = np.concatenate(([0.0], np.cumsum(turns)))
+
+    events, jump = [], 0
+    runs = np.flatnonzero(np.diff(np.r_[0, np.abs(turns) <= RESOLVED_STEP, 0])).reshape(-1, 2)
+    for start, end in runs:  # points[start:end + 1] bound a run of resolved steps
+        base = _phase_sum(points[start], lap, gain, agents) - unwrapped[start]
+
+        def count(m):  # net jumps of S between points[start] and points[m]
+            s = _phase_sum(points[m], lap, gain, agents)
+            return round((s - unwrapped[m] - base) / math.tau)
+
+        total = count(end)
+        jump += total
+        pending = [(start, end, 0, total)]
+        while pending:
+            p, q, c_p, c_q = pending.pop()
+            if c_p == c_q:
+                continue
+            if q == p + 1:
+                events.append(CrossingEvent(math.sqrt(points[p] * points[q]), c_q - c_p))
+            else:
+                m = (p + q) // 2
+                c_m = count(m)
+                pending += [(m, q, c_m, c_q), (p, m, c_p, c_m)]
+    exact = not split.size and top <= 1.0
     return LociResult(crossings=tuple(events), jump=jump, roots=2 * jump if exact else None)
 
 
@@ -275,8 +274,8 @@ def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     sufficient only, so its failure alone decides nothing).
     """
     grid = omega_grid(agents)
+    loci = eigen_loci(g, agents, gain, grid)  # first: it rejects edges or a gain that overflow
     values, passed = critical_frequency_criterion(g, agents, gain)
-    loci = eigen_loci(g, agents, gain, grid)  # first: it rejects a gain that overflows
     margins = disc_margin(g, agents, gain, grid)
     if passed:
         verdict = Verdict.PASS

@@ -100,8 +100,10 @@ class Spectrum:
 
 
 def degree_vector(g: Digraph) -> np.ndarray:
-    """Row sums of the weight matrix (in-degree of each agent)."""
-    return g.weights.sum(axis=1)
+    """Row sums of the weight matrix (in-degree of each agent); an overflowing
+    sum is inf, which the bound and certificate calculators reject."""
+    with np.errstate(over="ignore"):
+        return g.weights.sum(axis=1)
 
 
 def laplacian(g: Digraph) -> np.ndarray:

@@ -1,7 +1,11 @@
-"""Branch-matched eigenvalue loci and their real-axis crossings, one
-frequency at a time: the evidence ``certify`` used before it counted
-encirclements from the phase of ``det(I + G)``, kept as the oracle for that
-count. ``diagonal_scaling`` rebuilds the matrix of one frequency.
+"""Oracles for the encirclement count of ``certify``, one frequency at a time.
+
+``reference_loci`` gives the branch-matched eigenvalue loci and their
+real-axis crossings, the evidence ``certify`` used before it counted
+encirclements from the phase of ``det(I + G)``. ``reference_count`` is that
+count with one eigenproblem per frequency, the way ``certify`` made it before
+it took the phase from one LU factorisation per frequency.
+``diagonal_scaling`` rebuilds the matrix of one frequency.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from fracconsensus import laplacian
+from fracconsensus.freqcert import REFINE_ROUNDS, RESOLVED_STEP
 
 NEGLIGIBLE_LOCUS = 1e-9
 
@@ -57,3 +62,42 @@ def reference_loci(g, agents, gain: float, omegas: np.ndarray):
                 crossings.append((omega_cross, value, value < -1.0))
     crossings.sort(key=lambda ev: ev[0])
     return loci, tuple(crossings)
+
+
+def reference_count(g, agents, gain: float, omegas: np.ndarray):
+    """``(events, jump, roots)`` from the phase sum
+    ``S(w) = sum_k angle(1 + lambda_k(jw))`` at every grid frequency and
+    bisection midpoint. A step whose change of ``S`` lies within
+    ``RESOLVED_STEP`` of ``m*2*pi`` counts ``m`` (an event ``(omega, m)`` at
+    its geometric centre when ``m != 0``); other steps are bisected up to
+    ``REFINE_ROUNDS`` times. ``roots`` is ``2*jump``, or None when a step
+    stays unresolved or a Gerschgorin row sum of ``|G|`` exceeds 1 at the
+    grid top."""
+    lap = laplacian(g)
+    orders = np.array([a.order for a in agents])
+
+    def phase_sum(ws):
+        matrices = np.array([gain * (diagonal_scaling(float(w), agents)[:, None] * lap)
+                             for w in ws]).reshape(len(ws), g.n, g.n)
+        return np.angle(1.0 + np.linalg.eigvals(matrices)).sum(axis=1)
+
+    phase = phase_sum(omegas)
+    lo, hi, s_lo, s_hi = omegas[:-1], omegas[1:], phase[:-1], phase[1:]
+    events = []
+    for rounds_left in range(REFINE_ROUNDS, -1, -1):
+        jumps = np.rint((s_hi - s_lo) / (2.0 * math.pi))
+        resolved = np.abs(s_hi - s_lo - 2.0 * math.pi * jumps) <= RESOLVED_STEP
+        events += [(math.sqrt(lo[k] * hi[k]), int(jumps[k]))
+                   for k in np.flatnonzero(resolved & (jumps != 0.0))]
+        lo, hi, s_lo, s_hi = (a[~resolved] for a in (lo, hi, s_lo, s_hi))
+        if not lo.size or not rounds_left:
+            break
+        mid = np.sqrt(lo * hi)
+        s_mid = phase_sum(mid)
+        lo, hi, s_lo, s_hi = (np.concatenate(pair) for pair in
+                              ((lo, mid), (mid, hi), (s_lo, s_mid), (s_mid, s_hi)))
+    events.sort()
+    jump = sum(m for _, m in events)
+    top = (gain * np.abs(lap).sum(axis=1) * omegas[-1] ** -orders).max()
+    exact = not lo.size and top <= 1.0
+    return tuple(events), jump, 2 * jump if exact else None

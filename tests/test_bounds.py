@@ -44,6 +44,11 @@ class TestDegreeBound:
         with pytest.raises(InapplicableBoundError, match="no edges"):
             degree_delay_bound(Digraph(n=2, weights=np.zeros((2, 2))), 1.0, 0.9)
 
+    def test_huge_finite_loop_gain_keeps_a_positive_bound(self):
+        # 2*gain*dmax = 1.5e308 is finite, twice it is not.
+        g = Digraph.from_edges(2, [(1, 2, 0.75)])
+        assert degree_delay_bound(g, 1e308, 1.0) == math.pi / 2.0 / 1.5e308 > 0.0
+
     def test_rejects_bad_gain_and_order(self):
         with pytest.raises(ValueError, match="gain"):
             degree_delay_bound(demo_graph(), 0.0, 0.9)

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +23,9 @@ from fracconsensus import (
     omega_grid,
     parse_scenario,
 )
-from fracconsensus.freqcert import _sweep
+from fracconsensus.freqcert import _det_phase
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
-from reference_loci import diagonal_scaling, reference_loci
+from reference_loci import reference_count, reference_loci
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 
@@ -201,14 +198,17 @@ class TestEigenLoci:
         assert (result.jump, result.roots) == (0, 0)
 
     def test_zero_delay_homogeneous_loci_live_on_a_ray(self):
+        # The pair's Laplacian eigenvalues are 0 and 2, so the only nonzero
+        # locus is 2*w**(-a)*exp(-j*a*pi/2): a ray that never meets the
+        # negative real axis, and det(I + G) is 1 plus that locus.
         order = 0.7
         agents = pair_agents(0.0, order=order)
         grid = omega_grid(agents, points=200)
-        values = _sweep(grid, laplacian(pair_graph()), 1.0, agents)
-        expected_angle = -order * math.pi / 2.0
-        significant = values[np.abs(values) > 1e-9]
-        angles = np.angle(significant)
-        assert np.allclose(angles, expected_angle, atol=1e-8)
+        locus = 2.0 * grid ** -order * np.exp(-1j * order * math.pi / 2.0)
+        phase = _det_phase(grid, laplacian(pair_graph()), 1.0, agents)
+        assert np.allclose(phase, (1.0 + locus) / np.abs(1.0 + locus), rtol=0.0, atol=1e-12)
+        result = eigen_loci(pair_graph(), agents, 1.0, grid)
+        assert (result.crossings, result.jump, result.roots) == ((), 0, 0)
 
     def test_count_unresolved_when_grid_ends_too_low(self):
         # Gerschgorin puts every eigenvalue inside the unit circle only above
@@ -273,45 +273,70 @@ class TestRootCount:
         assert 20 < unstable < 80
 
 
+def random_agents(rng, n):
+    return tuple(
+        AgentModel(id=i + 1, order=float(rng.choice([1.0, rng.uniform(0.2, 1.0)])),
+                   delay=float(rng.uniform(0.0, 1.5)))
+        for i in range(n)
+    )
+
+
 class TestLociMatchReference:
-    """The chunked sweep against one ``eigvals`` call per frequency: the same
-    eigenvalues in the same order, bit for bit, on any core count."""
+    """The slogdet phase and the count built on it against one-frequency-at-a-time
+    oracles."""
 
     @staticmethod
-    def check(monkeypatch, cores, g, agents, gain, grid):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
-                            raising=False)
-        lap = laplacian(g)
-        threads = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the threads as finely as possible
-        try:
-            values = _sweep(grid, lap, gain, agents)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
-        expected = [np.linalg.eigvals(gain * (diagonal_scaling(float(w), agents)[:, None] * lap))
-                    for w in grid]
-        assert np.array_equal(values, np.array(expected).reshape(grid.size, g.n))
+    def check_phase(g, agents, gain, grid):
+        # det(diag((jw)**a) + gain*E*L) = prod((jw)**a_i) * det(I + G(jw)).
+        phase = _det_phase(grid, laplacian(g), gain, agents)
+        offset = sum(a.order for a in agents) * math.pi / 2.0
+        expected = np.array([np.angle(characteristic_value(float(w), g, agents, gain)) - offset
+                             for w in grid])
+        assert np.abs(np.angle(phase * np.exp(-1j * expected))).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_random_digraphs(self, monkeypatch, seed):
+    def test_random_digraphs(self, seed):
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(2, 41))
         g = random_digraph(rng, n, edge_prob=float(rng.uniform(0.1, 0.6)))
-        agents = tuple(
-            AgentModel(id=i + 1, order=float(rng.choice([1.0, rng.uniform(0.2, 1.0)])),
-                       delay=float(rng.uniform(0.0, 1.5)))
-            for i in range(n)
-        )
+        agents = random_agents(rng, n)
         grid = omega_grid(agents, points=int(rng.integers(100, 300)))
-        self.check(monkeypatch, 1 + seed % 3, g, agents, float(rng.uniform(0.2, 3.0)), grid)
+        self.check_phase(g, agents, float(rng.uniform(0.2, 3.0)), grid)
 
-    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("gain", [1, 2, 3])
     @pytest.mark.parametrize("points", [1, 31, 32, 33, 2048])
-    def test_grid_sizes(self, monkeypatch, cores, points):
-        grid = np.geomspace(1e-3, 1e3, points)
-        self.check(monkeypatch, cores, demo_graph(), demo_agents(0.8), 1.0, grid)
+    def test_grid_sizes(self, gain, points):
+        # Grids of one point and around the LOCI_CHUNK boundary.
+        self.check_phase(demo_graph(), demo_agents(0.8), float(gain),
+                         np.geomspace(1e-3, 1e3, points))
+
+    def test_count_matches_reference(self):
+        # Same jump and root count as the per-frequency phase sum; events are
+        # that oracle's, except that opposite events inside one probe
+        # interval may merge into their net. Node counts are log-uniform and
+        # the loop gain gain*max_degree log-uniform from 0.05 to 5, which
+        # keeps the oracle's eigenproblems affordable and makes about a
+        # quarter of the systems unstable.
+        rng = np.random.default_rng(37)
+        checked = unstable = 0
+        while checked < 100:
+            n = int(np.exp(rng.uniform(math.log(2.0), math.log(41.0))))
+            g = random_digraph(rng, n, edge_prob=float(rng.uniform(0.05, 0.4)))
+            if not g.weights.any():
+                continue
+            agents = random_agents(rng, n)
+            loop_gain = float(np.exp(rng.uniform(math.log(0.05), math.log(5.0))))
+            gain = loop_gain / g.weights.sum(axis=1).max()
+            grid = omega_grid(agents, points=200)
+            events, jump, roots = reference_count(g, agents, gain, grid)
+            result = eigen_loci(g, agents, gain, grid)
+            assert (result.jump, result.roots) == (jump, roots), checked
+            assert sum(ev.jump for ev in result.crossings) == jump
+            assert set((ev.omega, ev.jump) for ev in result.crossings) <= set(events)
+            checked += 1
+            unstable += jump > 0
+        assert 10 < unstable < 50
+
 
 class TestCertify:
     def test_demo_delay_06_pass(self):
