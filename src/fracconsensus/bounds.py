@@ -9,10 +9,10 @@ frequency-domain argument certifies consensus:
 ``dmax`` is the largest row degree and ``rho`` the spectral radius of the
 Laplacian. The bounds are sufficient, not tight; degree and spectral
 variants are incomparable in general. The integer-order bound
-``pi / (2*gain*lambda_max)`` and the shared-delay bound
-``pi / (2*gain*rho)`` are the order-1 spectral bound: symmetric weights
-make the Laplacian positive semidefinite, so ``lambda_max = rho``.
-``bound_report`` reports them under their own names.
+``pi / (2*gain*lambda_max)`` and the shared-delay bound ``pi / (2*gain*rho)``
+are the order-1 spectral bound: symmetric weights make the Laplacian positive
+semidefinite, so ``lambda_max = rho``. ``bound_report`` takes each bound's
+minimum over the agents' orders, and these two only when every order is 1.
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ def _check_order(order: float) -> None:
 def _root_bound(gain: float, scale: float, order: float) -> float:
     """``pi / (2*(gain*scale)**(1/order))``, the form both bounds share.
 
-    Raises ``ValueError`` naming the edges when the graph's own ``scale``
-    overflows, and ``OverflowError`` naming the gain when only the power does.
+    ``scale`` is finite (``Digraph`` keeps ``2*dmax``, and so ``rho``, finite);
+    raises ``OverflowError`` naming the gain when the power overflows.
     """
-    if not math.isfinite(scale):
-        raise ValueError(f"key 'edges' is invalid: the edge weights overflow the delay "
-                         f"bound (gain*{scale:.6g})**(1/{order:g})")
     try:
         root = (gain * scale) ** (1.0 / order)
     except OverflowError:
@@ -76,10 +73,8 @@ def degree_delay_bound(g: Digraph, gain: float, order: float) -> float:
     return _root_bound(gain, 2.0 * _max_degree(g), order)
 
 
-def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
-    """Delay bound from the Laplacian spectral radius; symmetric weights only."""
-    _check_gain(gain)
-    _check_order(order)
+def _spectral_radius(g: Digraph) -> float:
+    """Laplacian ``rho`` once the spectral bound's hypotheses hold (cheapest first)."""
     name = "spectral_delay_bound"
     if not is_symmetric(g):
         raise InapplicableBoundError(f"{name} requires symmetric weights")
@@ -89,7 +84,14 @@ def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
     rho = spectrum(laplacian(g)).spectral_radius
     if rho <= 0.0:
         raise InapplicableBoundError(f"{name} requires at least one edge")
-    return _root_bound(gain, rho, order)
+    return rho
+
+
+def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
+    """Delay bound from the Laplacian spectral radius; symmetric weights only."""
+    _check_gain(gain)
+    _check_order(order)
+    return _root_bound(gain, _spectral_radius(g), order)
 
 
 def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:
@@ -140,10 +142,11 @@ def gain_delay_curve(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All applicable analytic bounds for one graph/gain/order combination.
+    """All applicable analytic bounds for one graph, gain and set of agents.
 
-    An optional bound is ``None`` exactly when its hypotheses fail;
-    ``skipped`` pairs each missing bound name with the reason.
+    Each bound is the smallest over the agents' orders; ``order_used`` attains
+    the degree bound. An optional bound is ``None`` exactly when its
+    hypotheses fail; ``skipped`` pairs each missing bound name with the reason.
     """
 
     gain: float
@@ -155,26 +158,24 @@ class BoundReport:
     skipped: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
-def bound_report(
-    g: Digraph,
-    gain: float,
-    order: float,
-    uniform_delay: bool = False,
-) -> BoundReport:
-    """Evaluate every bound whose hypotheses hold; record reasons otherwise."""
-    degree = degree_delay_bound(g, gain, order)
+def bound_report(g: Digraph, gain: float, agents) -> BoundReport:
+    """Evaluate every bound whose hypotheses hold for ``agents`` (each with
+    ``order`` and ``delay``); record reasons otherwise."""
+    orders = {a.order for a in agents}
+    degree, order_used = mixed_order_delay_bound(g, gain, orders)
     skipped: list[tuple[str, str]] = []
     try:
-        spectral = spectral_delay_bound(g, gain, order)
+        rho = _spectral_radius(g)
+        spectral = min(_root_bound(gain, rho, a) for a in orders)
     except InapplicableBoundError as exc:
         spectral = None
         skipped.append(("spectral_bound", str(exc)))
 
     def order_one(name, needs_uniform=False):
         # At order 1 the integer and shared-delay bounds are the spectral bound.
-        if order != 1.0:
+        if orders != {1.0}:
             reason = "requires every agent order to be 1"
-        elif needs_uniform and not uniform_delay:
+        elif needs_uniform and len({a.delay for a in agents}) != 1:
             reason = "requires a single delay shared by all agents"
         elif spectral is None:
             reason = dict(skipped)["spectral_bound"]
@@ -183,14 +184,7 @@ def bound_report(
         skipped.append((name, reason))
         return None
 
-    integer = order_one("integer_bound")
-    shared = order_one("shared_bound", needs_uniform=True)
-    return BoundReport(
-        gain=gain,
-        order_used=order,
-        degree_bound=degree,
-        spectral_bound=spectral,
-        integer_bound=integer,
-        shared_bound=shared,
-        skipped=tuple(skipped),
-    )
+    integer, shared = order_one("integer_bound"), order_one("shared_bound", needs_uniform=True)
+    return BoundReport(gain=gain, order_used=order_used, degree_bound=degree,
+                       spectral_bound=spectral, integer_bound=integer, shared_bound=shared,
+                       skipped=tuple(skipped))

@@ -45,18 +45,10 @@ def cmd_simulate(args) -> int:
     return 0 if result.verdict is sc.ConvergenceVerdict.CONVERGED else 1
 
 
-def _scenario_bound_report(scen) -> bounds.BoundReport:
-    orders = [a.order for a in scen.agents]
-    _, order_used = bounds.mixed_order_delay_bound(scen.graph, scen.gain, orders)
-    delays = [a.delay for a in scen.agents]
-    uniform = len(set(delays)) == 1
-    return bounds.bound_report(scen.graph, scen.gain, order_used, uniform_delay=uniform)
-
-
 def cmd_bound(args) -> int:
     scen = sc.parse_scenario(args.scenario)
     try:
-        report = _scenario_bound_report(scen)
+        report = bounds.bound_report(scen.graph, scen.gain, scen.agents)
     except OverflowError as exc:
         raise ValueError(f"key 'gain' is invalid: {exc}") from exc
     skipped = dict(report.skipped)

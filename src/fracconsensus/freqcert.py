@@ -220,11 +220,12 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
                          f"got {g.n}")
     lap = laplacian(g)
     orders = np.array([a.order for a in agents])
+    scale = np.abs(lap).sum(axis=1)  # Gerschgorin row sums of |G| per unit gain*w**-a
     with np.errstate(over="ignore"):
-        scale = np.abs(lap).sum(axis=1)
-        bottom, top = ((gain * scale * w ** -orders).max() for w in (omegas[0], omegas[-1]))
-    if not np.isfinite(scale).all():
-        raise ValueError("key 'edges' is invalid: the row sums of |L| overflow")
+        reach = scale * omegas[0] ** -orders
+        bottom, top = (gain * reach).max(), (gain * scale * omegas[-1] ** -orders).max()
+    if not np.isfinite(reach).all():
+        raise ValueError(f"key 'edges' is invalid: G(jw) overflows at omega {omegas[0]:.6g}")
     if not np.isfinite(bottom):
         raise ValueError(f"key 'gain' is invalid: G(jw) overflows at omega {omegas[0]:.6g} "
                          f"with gain {gain:.6g}")
@@ -274,7 +275,7 @@ def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     sufficient only, so its failure alone decides nothing).
     """
     grid = omega_grid(agents)
-    loci = eigen_loci(g, agents, gain, grid)  # first: it rejects edges or a gain that overflow
+    loci = eigen_loci(g, agents, gain, grid)  # first: it rejects a G(jw) that overflows
     values, passed = critical_frequency_criterion(g, agents, gain)
     margins = disc_margin(g, agents, gain, grid)
     if passed:

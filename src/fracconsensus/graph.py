@@ -26,7 +26,8 @@ class Digraph:
     n : int
         Number of nodes, at least 1.
     weights : array_like, shape (n, n)
-        Nonnegative adjacency weights with a zero diagonal.
+        Nonnegative adjacency weights with a zero diagonal. Twice each row
+        sum, the ``|L|`` row sum that bounds the spectral radius, is finite.
     """
 
     n: int
@@ -49,6 +50,10 @@ class Digraph:
             raise ValueError("weights must be nonnegative")
         if np.any(np.diagonal(w) != 0.0):
             raise ValueError("self-loop weights must be zero")
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(~np.isfinite(2.0 * w.sum(axis=1)))
+        if overflow.size:
+            raise ValueError(f"twice the sum of the weights into node {overflow[0] + 1} overflows")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -100,10 +105,9 @@ class Spectrum:
 
 
 def degree_vector(g: Digraph) -> np.ndarray:
-    """Row sums of the weight matrix (in-degree of each agent); an overflowing
-    sum is inf, which the bound and certificate calculators reject."""
-    with np.errstate(over="ignore"):
-        return g.weights.sum(axis=1)
+    """Row sums of the weight matrix (in-degree of each agent); ``Digraph``
+    keeps twice each of them finite."""
+    return g.weights.sum(axis=1)
 
 
 def laplacian(g: Digraph) -> np.ndarray:

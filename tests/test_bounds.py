@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import fracconsensus.bounds as bounds
 from fracconsensus import (
+    AgentModel,
     Digraph,
     InapplicableBoundError,
     bound_report,
@@ -17,11 +19,16 @@ from fracconsensus import (
     mixed_order_delay_bound,
     spectral_delay_bound,
 )
-from conftest import demo_graph, random_digraph
+from conftest import DEMO_ORDERS, demo_graph, random_digraph
 
 
 def symmetric_pair(weight=1.0):
     return Digraph.from_edges(2, [(1, 2, weight), (2, 1, weight)])
+
+
+def agents(orders, delays=None):
+    delays = delays or [0.1] * len(orders)
+    return [AgentModel(id=i + 1, order=a, delay=d) for i, (a, d) in enumerate(zip(orders, delays))]
 
 
 class TestDegreeBound:
@@ -103,7 +110,7 @@ class TestIntegerAndSharedBounds:
     # Both are the order-1 spectral bound, reported by ``bound_report``.
     @staticmethod
     def order_one(g, gain):
-        return bound_report(g, gain, 1.0, uniform_delay=True)
+        return bound_report(g, gain, agents([1.0] * g.n))
 
     def test_pair_values(self):
         assert self.order_one(symmetric_pair(), 1.0).integer_bound == pytest.approx(math.pi / 4)
@@ -219,7 +226,8 @@ class TestMixedOrderBound:
 
 class TestBoundReport:
     def test_demo_graph_report(self):
-        report = bound_report(demo_graph(), 1.0, 0.9)
+        report = bound_report(demo_graph(), 1.0, agents(DEMO_ORDERS))
+        assert report.order_used == 0.9
         assert report.degree_bound == pytest.approx(0.7271802985665787, abs=1e-12)
         assert report.spectral_bound is None
         assert report.integer_bound is None
@@ -231,13 +239,40 @@ class TestBoundReport:
         }
 
     def test_symmetric_integer_report(self):
-        report = bound_report(symmetric_pair(), 1.0, 1.0, uniform_delay=True)
+        report = bound_report(symmetric_pair(), 1.0, agents([1.0, 1.0]))
         assert report.spectral_bound == pytest.approx(math.pi / 4)
         assert report.integer_bound == pytest.approx(math.pi / 4)
         assert report.shared_bound == pytest.approx(math.pi / 4)
         assert report.skipped == ()
 
     def test_shared_bound_needs_uniform_delay(self):
-        report = bound_report(symmetric_pair(), 1.0, 1.0, uniform_delay=False)
+        report = bound_report(symmetric_pair(), 1.0, agents([1.0, 1.0], [0.1, 0.2]))
         assert report.shared_bound is None
         assert dict(report.skipped)["shared_bound"].startswith("requires a single delay")
+
+    def test_mixed_orders_take_the_smallest_bound_of_each_kind(self):
+        # Unit-weight K4: dmax = 3, rho = 4. At gain 0.2 the degree bound is
+        # smallest at order 0.5 (2*gain*dmax > 1), the spectral one at order 1
+        # (gain*rho < 1).
+        k4 = Digraph(n=4, weights=np.ones((4, 4)) - np.eye(4))
+        report = bound_report(k4, 0.2, agents([1.0, 1.0, 0.5, 0.5]))
+        assert report.order_used == 0.5
+        assert report.degree_bound == pytest.approx(math.pi / (2 * 1.2**2))
+        assert report.spectral_bound == pytest.approx(math.pi / (2 * 0.2 * 4))
+        for a in (1.0, 0.5):
+            assert report.spectral_bound <= spectral_delay_bound(k4, 0.2, a)
+        assert report.integer_bound is None and report.shared_bound is None
+        assert dict(report.skipped)["integer_bound"] == "requires every agent order to be 1"
+
+    def test_spectral_hypotheses_checked_once(self, monkeypatch):
+        calls = []
+        for name in ("has_spanning_root", "spectrum"):
+            original = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name,
+                                lambda x, f=original, n=name: calls.append(n) or f(x))
+        k4 = Digraph(n=4, weights=np.ones((4, 4)) - np.eye(4))
+        bound_report(k4, 0.2, agents([1.0, 0.8, 0.6, 0.6]))
+        assert calls == ["has_spanning_root", "spectrum"]
+        calls.clear()
+        bound_report(demo_graph(), 1.0, agents(DEMO_ORDERS))  # not symmetric
+        assert calls == []

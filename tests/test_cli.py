@@ -14,12 +14,22 @@ import pytest
 
 import fracconsensus.scenario
 from fracconsensus.cli import run_cli
-from fracconsensus import laplacian, omega_grid, parse_scenario, save_scenario, scenario_to_dict
+from fracconsensus import (
+    AgentModel,
+    Digraph,
+    eigen_loci,
+    laplacian,
+    omega_grid,
+    parse_scenario,
+    save_scenario,
+    scenario_to_dict,
+)
 from conftest import demo_scenario, pair_scenario
 from reference_loci import diagonal_scaling
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MIXED_K4 = GOLDEN / "symmetric_mixed_4agent.json"  # unit-weight K4, orders 1, 1, 0.5, 0.5
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -99,6 +109,23 @@ class TestBoundCommand:
         assert run_cli(["bound", ring_config(tmp_path)]) == 0
         assert "spectral bound: 0.392699" in capsys.readouterr().out
 
+    def test_mixed_orders_leave_integer_bounds_inapplicable(self, tmp_path, capsys):
+        # At gain 0.1 the degree bound's order is 1 (2*gain*dmax < 1), but two
+        # agents have order 0.5, so the integer and shared-delay bounds do not apply.
+        payload = json.loads(MIXED_K4.read_text())
+        payload["gain"] = 0.1
+        path = tmp_path / "gain01.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["bound", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:6] == [
+            "order used: 1",
+            "degree bound: 2.61799",
+            "spectral bound: 3.92699",
+            "integer bound: inapplicable (requires every agent order to be 1)",
+            "shared-delay bound: inapplicable (requires every agent order to be 1)",
+        ]
+
     def test_eigenvalue_failure_exit_two(self, capsys, monkeypatch):
         def boom(matrix):
             raise np.linalg.LinAlgError("did not converge")
@@ -116,7 +143,8 @@ class TestGoldenOutput:
     # byte for byte in tests/golden/<config stem>.<command>.out.
     @pytest.mark.parametrize("command", ["bound", "curve"])
     @pytest.mark.parametrize(
-        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json"], ids=lambda p: p.stem
+        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json", MIXED_K4],
+        ids=lambda p: p.stem,
     )
     def test_default_output(self, capsys, config, command):
         assert run_cli([command, str(config)]) == 0
@@ -224,7 +252,9 @@ class TestGainOverflow:
 class TestEdgeOverflow:
     """Edge weights whose row sums overflow exit 2 naming the edges, not the gain."""
 
-    @pytest.mark.parametrize("command", ["bound", "certify", "curve"])
+    ARGS = {"simulate": ["--out", os.devnull], "critical": ["--tau-lo", "0.1", "--tau-hi", "2"]}
+
+    @pytest.mark.parametrize("command", ["bound", "certify", "curve", "simulate", "critical"])
     @pytest.mark.parametrize("edges", [
         [[2, 1, 1e308]],  # |L| row sum and 2*degree overflow
         [[2, 1, 1e308], [2, 3, 1e308]],  # the degree itself overflows
@@ -234,11 +264,68 @@ class TestEdgeOverflow:
         payload["edges"] = edges + payload["edges"][1:]
         path = tmp_path / "huge_edge.json"
         path.write_text(json.dumps(payload))
-        result = TestModuleEntryPoint.run_module(command, str(path))
+        result = TestModuleEntryPoint.run_module(command, str(path), *self.ARGS.get(command, []))
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: key 'edges' is invalid: ")
         assert result.stderr.count("\n") == 1
+
+    def test_certify_names_edges_that_overflow_the_grid_bottom(self, tmp_path, capsys):
+        # Twice each row sum is about 1e308, finite; only the factor
+        # omega**-1 = 1000 at the bottom of the grid overflows.
+        payload = json.loads((GOLDEN / "symmetric_integer_4agent.json").read_text())
+        for edge in payload["edges"]:
+            edge[2] = 5e307 if edge[2] == 1.0 else edge[2]
+        path = tmp_path / "huge_edges.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["certify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: key 'edges' is invalid: G(jw) overflows at omega 0.001\n"
+
+
+class TestBoundAgainstRootCount:
+    """Every delay below a printed bound is stable: at a uniform delay of 0.99
+    times the degree or spectral bound the loci of G(jw) find no root in the
+    right half-plane."""
+
+    @staticmethod
+    def draw(rng):
+        # Symmetric, spanning-rooted (a random spanning tree plus extra edges),
+        # at least two distinct orders, loop gain gain*rho log-uniform on [0.05, 3].
+        n = int(rng.integers(2, 9))
+        perm = rng.permutation(n)
+        w = np.zeros((n, n))
+        for pos in range(1, n):
+            i, k = perm[pos], perm[rng.integers(0, pos)]
+            w[i, k] = w[k, i] = rng.uniform(0.5, 2.0)
+        extra = np.triu(rng.random((n, n)) < 0.3, 1) * rng.uniform(0.5, 2.0, (n, n))
+        w = np.maximum(w, extra + extra.T)
+        orders = np.round(rng.uniform(0.3, 1.0, n), 2)
+        orders[:2] = [1.0, round(float(rng.uniform(0.3, 0.95)), 2)]
+        rho = np.linalg.eigvalsh(np.diag(w.sum(axis=1)) - w)[-1]
+        gain = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0)))) / rho
+        return Digraph(n=n, weights=w), orders.tolist(), gain
+
+    def test_no_root_below_the_printed_bounds(self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "random.json"
+        for case in range(100):
+            g, orders, gain = self.draw(rng)
+            edges = [[int(i) + 1, int(k) + 1, float(g.weights[i, k])]
+                     for i, k in zip(*np.nonzero(g.weights))]
+            path.write_text(json.dumps({
+                "n": g.n, "edges": edges, "gain": gain, "init": [0.0] * g.n,
+                "agents": [{"id": i + 1, "order": a, "delay": 0.0} for i, a in enumerate(orders)],
+                "solver": {"h": 1e-3, "horizon": 1.0},
+            }))
+            assert run_cli(["bound", str(path)]) == 0
+            printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+            for label in ("degree bound", "spectral bound"):
+                delay = 0.99 * float(printed[label])
+                agents = [AgentModel(id=i + 1, order=a, delay=delay) for i, a in enumerate(orders)]
+                loci = eigen_loci(g, agents, gain, omega_grid(agents))
+                assert loci.roots == 0, (case, label, printed[label], orders, gain)
 
 
 class TestCurveCommand:

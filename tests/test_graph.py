@@ -30,6 +30,15 @@ class TestDigraph:
         with pytest.raises(ValueError, match="nonnegative"):
             Digraph(n=2, weights=[[0.0, -1.0], [0.0, 0.0]])
 
+    def test_rejects_row_sums_whose_double_overflows(self):
+        # 2*row sum bounds every Laplacian eigenvalue; each weight is finite.
+        with pytest.raises(ValueError, match="weights into node 2 overflows"):
+            Digraph(n=3, weights=[[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="weights into node 1 overflows"):
+            Digraph(n=3, weights=[[0.0, 6e307, 6e307], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        big = Digraph(n=2, weights=[[0.0, 8e307], [8e307, 0.0]])
+        assert np.isfinite(2.0 * degree_vector(big)).all()
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             Digraph(n=3, weights=np.zeros((2, 2)))
