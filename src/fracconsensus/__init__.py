@@ -23,10 +23,8 @@ from .fracsolve import (
 from .freqcert import (
     Verdict,
     certify,
-    characteristic_value,
     critical_frequency_criterion,
     disc_margin,
-    disc_margin_values,
     eigen_loci,
     omega_grid,
 )

@@ -78,10 +78,9 @@ def _spectral_radius(g: Digraph) -> float:
     name = "spectral_delay_bound"
     if not is_symmetric(g):
         raise InapplicableBoundError(f"{name} requires symmetric weights")
-    reachable, _ = has_spanning_root(g)
-    if not reachable:
+    if not has_spanning_root(g):
         raise InapplicableBoundError(f"{name} requires a node that reaches all others")
-    rho = spectrum(laplacian(g)).spectral_radius
+    rho = spectrum(laplacian(g))
     if rho <= 0.0:
         raise InapplicableBoundError(f"{name} requires at least one edge")
     return rho

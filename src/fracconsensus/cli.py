@@ -63,7 +63,7 @@ def cmd_bound(args) -> int:
         ("shared-delay bound", "shared_bound", report.shared_bound),
     ):
         if value is None:
-            lines.append(f"{label}: inapplicable ({skipped.get(key, 'hypotheses not met')})")
+            lines.append(f"{label}: inapplicable ({skipped[key]})")
         else:
             lines.append(f"{label}: {value:.6g}")
     max_delay = max(a.delay for a in scen.agents)

@@ -118,54 +118,23 @@ def critical_frequency_criterion(g: Digraph, agents, gain: float) -> tuple[np.nd
     return values, bool(values.max() < 1.0)
 
 
-def disc_margin_values(omegas, degree: float, gain: float, order: float, delay: float) -> np.ndarray:
-    """Disc margin 1 + 2*gain*degree*w**(-order)*cos(w*delay + order*pi/2).
+def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[DiscMargin, ...]:
+    """Grid minimum of every agent's disc margin
+    ``1 + 2*gain*d_i*w**(-a_i)*cos(w*tau_i + a_i*pi/2)``.
 
     Positive margin means -1 lies outside the agent's Gerschgorin disc at
-    that frequency.
-    """
-    w = np.asarray(omegas, dtype=float)
-    return 1.0 + 2.0 * gain * degree * w ** (-order) * np.cos(w * delay + order * math.pi / 2.0)
-
-
-def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[DiscMargin, ...]:
-    """Grid minimum of every agent's disc margin.
-
-    Diagnostic only: for any delayed agent the margin tends to
-    ``1 - 2*gain*d_i*tau_i`` as w -> 0, which is commonly negative for
+    that frequency. Diagnostic only: for any delayed agent the margin tends
+    to ``1 - 2*gain*d_i*tau_i`` as w -> 0, which is commonly negative for
     systems the critical-frequency criterion certifies; verdicts are keyed
     on the criterion, not on this minimum.
     """
-    degrees = degree_vector(g)
     results = []
-    for i, agent in enumerate(agents):
-        margins = disc_margin_values(omegas, float(degrees[i]), gain, agent.order, agent.delay)
-        idx = int(np.argmin(margins))
-        results.append(
-            DiscMargin(
-                agent_id=agent.id,
-                min_margin=float(margins[idx]),
-                omega_at_min=float(omegas[idx]),
-            )
-        )
+    for agent, degree in zip(agents, degree_vector(g)):
+        margins = 1.0 + 2.0 * gain * degree * omegas ** (-agent.order) * np.cos(
+            omegas * agent.delay + agent.order * math.pi / 2.0)
+        k = int(np.argmin(margins))
+        results.append(DiscMargin(agent.id, float(margins[k]), float(omegas[k])))
     return tuple(results)
-
-
-def characteristic_value(omega: float, g: Digraph, agents, gain: float) -> complex:
-    """Characteristic determinant det(diag((jw)**a_i) + gain*E(jw)*L) at s = jw.
-
-    ``E(jw) = diag(exp(-j*w*tau_i))`` and ``(jw)**a`` uses the principal
-    branch ``w**a * exp(j*a*pi/2)``. A nonzero modulus certifies that jw is
-    not a characteristic root.
-    """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    orders = np.array([a.order for a in agents])
-    delays = np.array([a.delay for a in agents])
-    diag = omega ** orders * np.exp(1j * orders * math.pi / 2.0)
-    lag = np.exp(-1j * omega * delays)
-    matrix = np.diag(diag) + gain * (lag[:, None] * laplacian(g))
-    return complex(np.linalg.det(matrix))
 
 
 def _open_loop(omegas: np.ndarray, lap: np.ndarray, gain: float, agents, out=None):
@@ -208,10 +177,12 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     ``S(w) = sum_k angle(1 + lambda_k(jw))`` follows the phase of
     ``det(I + G)`` but jumps by ``2*pi`` where a locus crosses the real axis
     left of -1 upwards (clockwise about -1), by ``-2*pi`` downwards. Steps
-    whose wrapped phase change exceeds ``RESOLVED_STEP`` are bisected up to
-    ``REFINE_ROUNDS`` times. A run of adjacent resolved steps counts
-    ``(S(end) - S(start) - sum of changes) / (2*pi)``; bisection over its
-    steps places the events, merging opposite events inside one probe
+    whose wrapped phase change exceeds ``RESOLVED_STEP``, or that lie below
+    the frequency where Gerschgorin puts every eigenvalue inside the unit
+    circle and turn ``w*max(tau_i)`` by more than ``RESOLVED_STEP``, are
+    bisected up to ``REFINE_ROUNDS`` times. A run of adjacent resolved steps
+    counts ``(S(end) - S(start) - sum of changes) / (2*pi)``; bisection over
+    its steps places the events, merging opposite events inside one probe
     interval. The root count ``2*jump`` is exact when every step resolves and
     the largest Gerschgorin row sum of ``|G|`` is at most 1 at the grid top.
     """
@@ -221,9 +192,11 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     lap = laplacian(g)
     orders = np.array([a.order for a in agents])
     scale = np.abs(lap).sum(axis=1)  # Gerschgorin row sums of |G| per unit gain*w**-a
+    tau = max(a.delay for a in agents)
     with np.errstate(over="ignore"):
         reach = scale * omegas[0] ** -orders
         bottom, top = (gain * reach).max(), (gain * scale * omegas[-1] ** -orders).max()
+        inside = ((gain * scale) ** (1.0 / orders)).max()  # every |lambda| < 1 above this
     if not np.isfinite(reach).all():
         raise ValueError(f"key 'edges' is invalid: G(jw) overflows at omega {omegas[0]:.6g}")
     if not np.isfinite(bottom):
@@ -233,7 +206,11 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     points, phase = omegas, _det_phase(omegas, lap, gain, agents)
     for rounds in range(REFINE_ROUNDS + 1):
         turns = np.angle(phase[1:] * phase[:-1].conj())  # wrapped phase change of each step
-        split = np.flatnonzero(np.abs(turns) > RESOLVED_STEP)
+        # Below ``inside`` a step that turns w*tau by more than RESOLVED_STEP
+        # can hide whole turns of the phase.
+        unresolved = (np.abs(turns) > RESOLVED_STEP) | (
+            (np.diff(points) * tau > RESOLVED_STEP) & (points[:-1] < inside))
+        split = np.flatnonzero(unresolved)
         if not split.size or rounds == REFINE_ROUNDS:
             break
         mid = np.sqrt(points[split] * points[split + 1])
@@ -242,7 +219,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     unwrapped = np.concatenate(([0.0], np.cumsum(turns)))
 
     events, jump = [], 0
-    runs = np.flatnonzero(np.diff(np.r_[0, np.abs(turns) <= RESOLVED_STEP, 0])).reshape(-1, 2)
+    runs = np.flatnonzero(np.diff(np.r_[0, ~unresolved, 0])).reshape(-1, 2)
     for start, end in runs:  # points[start:end + 1] bound a run of resolved steps
         base = _phase_sum(points[start], lap, gain, agents) - unwrapped[start]
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ZERO_EIGENVALUE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -91,19 +89,6 @@ class Digraph:
         return hash((self.n, self.weights.tobytes()))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of a Laplacian, sorted by modulus (then real, imaginary).
-
-    ``zero_multiplicity`` counts eigenvalues with modulus below
-    ``ZERO_EIGENVALUE_TOL``.
-    """
-
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    zero_multiplicity: int
-
-
 def degree_vector(g: Digraph) -> np.ndarray:
     """Row sums of the weight matrix (in-degree of each agent); ``Digraph``
     keeps twice each of them finite."""
@@ -123,13 +108,11 @@ def is_symmetric(g: Digraph) -> bool:
     return bool(np.array_equal(g.weights, g.weights.T))
 
 
-def has_spanning_root(g: Digraph) -> tuple[bool, int | None]:
-    """Search for a node whose influence reaches every other node.
+def has_spanning_root(g: Digraph) -> bool:
+    """True when some node's influence reaches every other node.
 
     Information flows from sender ``k`` to receiver ``i`` whenever
-    ``weights[i-1, k-1] > 0``. Returns ``(True, r)`` with the least 1-based
-    node id ``r`` from which all nodes are reachable along such influence
-    edges, or ``(False, None)``. Exactly this condition makes the Laplacian
+    ``weights[i-1, k-1] > 0``. Exactly this condition makes the Laplacian
     zero eigenvalue simple.
     """
     w = g.weights
@@ -145,12 +128,12 @@ def has_spanning_root(g: Digraph) -> tuple[bool, int | None]:
                     seen[i] = True
                     stack.append(int(i))
         if seen.all():
-            return True, root + 1
-    return False, None
+            return True
+    return False
 
 
-def spectrum(matrix: np.ndarray) -> Spectrum:
-    """All eigenvalues of the Laplacian via a dense solver.
+def spectrum(matrix: np.ndarray) -> float:
+    """Spectral radius of the Laplacian via a dense eigenvalue solver.
 
     A non-converging eigenvalue iteration raises ``np.linalg.LinAlgError``,
     a ``ValueError``, that names the scenario key the Laplacian comes from.
@@ -160,11 +143,4 @@ def spectrum(matrix: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"key 'edges' is invalid: Laplacian eigenvalues did not converge ({exc})") from exc
-    order = np.lexsort((values.imag, values.real, np.abs(values)))
-    values = values[order]
-    values.setflags(write=False)
-    return Spectrum(
-        eigenvalues=values,
-        spectral_radius=float(np.abs(values).max()),
-        zero_multiplicity=int(np.count_nonzero(np.abs(values) < ZERO_EIGENVALUE_TOL)),
-    )
+    return float(np.abs(values).max())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fracconsensus import AgentModel, Digraph, Scenario, SolverParams, snap_delay
+from fracconsensus import AgentModel, Digraph, Scenario, SolverParams, laplacian, snap_delay
 
 # 4-agent demo topology: two integer-order agents (1, 2) and two order-0.9
 # agents (3, 4), weights a21=0.7, a42=0.8, a31=0.9, a14=1.
@@ -69,6 +69,11 @@ def random_digraph(rng: np.random.Generator, n: int, edge_prob=0.5) -> Digraph:
     np.fill_diagonal(mask, False)
     weights = np.where(mask, rng.uniform(0.5, 2.0, (n, n)), 0.0)
     return Digraph(n=n, weights=weights)
+
+
+def zero_multiplicity(g: Digraph, tol=1e-9) -> int:
+    """Laplacian eigenvalues of modulus below ``tol``."""
+    return int(np.count_nonzero(np.abs(np.linalg.eigvals(laplacian(g))) < tol))
 
 
 @pytest.fixture

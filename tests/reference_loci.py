@@ -5,7 +5,9 @@ real-axis crossings, the evidence ``certify`` used before it counted
 encirclements from the phase of ``det(I + G)``. ``reference_count`` is that
 count with one eigenproblem per frequency, the way ``certify`` made it before
 it took the phase from one LU factorisation per frequency.
-``diagonal_scaling`` rebuilds the matrix of one frequency.
+``characteristic_value`` is the characteristic determinant at one frequency,
+whose phase the slogdet phase must match. ``diagonal_scaling`` rebuilds the
+matrix of one frequency.
 """
 
 from __future__ import annotations
@@ -25,6 +27,21 @@ def diagonal_scaling(omega: float, agents) -> np.ndarray:
     orders = np.array([a.order for a in agents])
     delays = np.array([a.delay for a in agents])
     return omega ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + omega * delays))
+
+
+def characteristic_value(omega: float, g, agents, gain: float) -> complex:
+    """Characteristic determinant det(diag((jw)**a_i) + gain*E(jw)*L) at s = jw.
+
+    ``E(jw) = diag(exp(-j*w*tau_i))`` and ``(jw)**a`` uses the principal
+    branch ``w**a * exp(j*a*pi/2)``. A nonzero modulus certifies that jw is
+    not a characteristic root.
+    """
+    orders = np.array([a.order for a in agents])
+    delays = np.array([a.delay for a in agents])
+    diag = omega ** orders * np.exp(1j * orders * math.pi / 2.0)
+    lag = np.exp(-1j * omega * delays)
+    matrix = np.diag(diag) + gain * (lag[:, None] * laplacian(g))
+    return complex(np.linalg.det(matrix))
 
 
 def reference_loci(g, agents, gain: float, omegas: np.ndarray):
@@ -69,12 +86,18 @@ def reference_count(g, agents, gain: float, omegas: np.ndarray):
     ``S(w) = sum_k angle(1 + lambda_k(jw))`` at every grid frequency and
     bisection midpoint. A step whose change of ``S`` lies within
     ``RESOLVED_STEP`` of ``m*2*pi`` counts ``m`` (an event ``(omega, m)`` at
-    its geometric centre when ``m != 0``); other steps are bisected up to
+    its geometric centre when ``m != 0``) unless it turns ``w*max(tau_i)``
+    by more than ``RESOLVED_STEP`` below the frequency where every
+    Gerschgorin row sum of ``|G|`` reaches 1; other steps are bisected up to
     ``REFINE_ROUNDS`` times. ``roots`` is ``2*jump``, or None when a step
     stays unresolved or a Gerschgorin row sum of ``|G|`` exceeds 1 at the
     grid top."""
     lap = laplacian(g)
     orders = np.array([a.order for a in agents])
+    scale = np.abs(lap).sum(axis=1)
+    tau = max(a.delay for a in agents)
+    with np.errstate(over="ignore"):
+        inside = ((gain * scale) ** (1.0 / orders)).max()
 
     def phase_sum(ws):
         matrices = np.array([gain * (diagonal_scaling(float(w), agents)[:, None] * lap)
@@ -87,6 +110,7 @@ def reference_count(g, agents, gain: float, omegas: np.ndarray):
     for rounds_left in range(REFINE_ROUNDS, -1, -1):
         jumps = np.rint((s_hi - s_lo) / (2.0 * math.pi))
         resolved = np.abs(s_hi - s_lo - 2.0 * math.pi * jumps) <= RESOLVED_STEP
+        resolved &= ((hi - lo) * tau <= RESOLVED_STEP) | (lo >= inside)
         events += [(math.sqrt(lo[k] * hi[k]), int(jumps[k]))
                    for k in np.flatnonzero(resolved & (jumps != 0.0))]
         lo, hi, s_lo, s_hi = (a[~resolved] for a in (lo, hi, s_lo, s_hi))
@@ -98,6 +122,6 @@ def reference_count(g, agents, gain: float, omegas: np.ndarray):
                               ((lo, mid), (mid, hi), (s_lo, s_mid), (s_mid, s_hi)))
     events.sort()
     jump = sum(m for _, m in events)
-    top = (gain * np.abs(lap).sum(axis=1) * omegas[-1] ** -orders).max()
+    top = (gain * scale * omegas[-1] ** -orders).max()
     exact = not lo.size and top <= 1.0
     return tuple(events), jump, 2 * jump if exact else None

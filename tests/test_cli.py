@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -139,9 +140,9 @@ class TestBoundCommand:
 
 
 class TestGoldenOutput:
-    # bound and curve print closed forms, so their default output is frozen
-    # byte for byte in tests/golden/<config stem>.<command>.out.
-    @pytest.mark.parametrize("command", ["bound", "curve"])
+    # bound, curve and certify print deterministic results, so their default
+    # output is frozen byte for byte in tests/golden/<config stem>.<command>.out.
+    @pytest.mark.parametrize("command", ["bound", "certify", "curve"])
     @pytest.mark.parametrize(
         "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json", MIXED_K4],
         ids=lambda p: p.stem,
@@ -504,3 +505,21 @@ def test_serialize_parse_agreement(tmp_path):
     path = tmp_path / "echo.json"
     save_scenario(scen, path)
     assert scenario_to_dict(parse_scenario(path)) == scenario_to_dict(scen)
+
+
+def test_every_export_is_used():
+    # The package exports only what the command line or the tests use: each
+    # name in __init__ is imported by a test module or read in cli.py.
+    package = Path(fracconsensus.scenario.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in Path(__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fracconsensus"):
+                used.update(alias.name for alias in node.names)
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert exported and not exported - used, sorted(exported - used)

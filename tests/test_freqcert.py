@@ -7,17 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fracconsensus import (
     AgentModel,
     Digraph,
     Verdict,
     certify,
-    characteristic_value,
     critical_frequency_criterion,
     degree_delay_bound,
     disc_margin,
-    disc_margin_values,
     eigen_loci,
     laplacian,
     omega_grid,
@@ -25,7 +24,7 @@ from fracconsensus import (
 )
 from fracconsensus.freqcert import _det_phase
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
-from reference_loci import reference_count, reference_loci
+from reference_loci import characteristic_value, reference_count, reference_loci
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 
@@ -102,19 +101,23 @@ class TestCriterion:
         assert np.all(values == 0.0)
 
 
+def pair_margin(omega, gain=1.0):
+    """Disc margin of agent 1 of the unit-weight pair (degree 1, order 1,
+    delay 0.6) on the one-point grid ``omega``."""
+    return disc_margin(pair_graph(), pair_agents(0.6), gain, np.array([omega]))[0].min_margin
+
+
 class TestDiscMargin:
     def test_value_at_critical_frequency(self):
-        omega = math.pi / 1.2
-        margin = disc_margin_values([omega], 1.0, 1.0, 1.0, 0.6)[0]
+        margin = pair_margin(math.pi / 1.2)
         assert margin == pytest.approx(1.0 - 2.4 / math.pi, abs=1e-6)
 
     def test_low_frequency_limit(self):
-        margin = disc_margin_values([1e-6], 1.0, 1.0, 1.0, 0.6)[0]
-        assert margin == pytest.approx(-0.2, abs=1e-6)
+        assert pair_margin(1e-6) == pytest.approx(-0.2, abs=1e-6)
 
     def test_zero_gain_margin_is_one(self):
-        margins = disc_margin_values(np.geomspace(1e-3, 1e3, 50), 1.0, 0.0, 1.0, 0.6)
-        assert np.all(margins == 1.0)
+        for omega in np.geomspace(1e-3, 1e3, 50):
+            assert pair_margin(omega, gain=0.0) == 1.0
 
     def test_grid_minimum_for_integer_agent_sits_at_low_frequency(self):
         grid = omega_grid(demo_agents(0.6))
@@ -246,6 +249,27 @@ class TestRootCount:
         # 3e-4 of -1, which takes several bisection rounds to resolve.
         scen = parse_scenario(CONFIG)
         assert uniform_roots(scen.graph, scen.agents, delay, scen.gain) == roots
+
+    @settings(deadline=None, max_examples=40)
+    @given(gain=st.floats(0.1, 400.0), delay=st.floats(0.1, 2.0), order=st.floats(0.3, 1.0))
+    @example(gain=300.0, delay=1.5, order=1.0)  # a coarse grid step loses whole turns here
+    def test_pair_count_is_closed_form_or_unresolved(self, gain, delay, order):
+        # The nonzero locus 2*gain*w**(-a)*exp(-j*(a*pi/2 + w*tau)) meets the
+        # negative real axis at w_k = ((2 - a)*pi/2 + 2*pi*k)/tau, left of -1
+        # while its modulus exceeds 1; each such crossing is a pair of roots.
+        roots = uniform_roots(pair_graph(), pair_agents(0.0, order=order), delay, gain)
+        if roots is None:
+            return
+        k = np.arange(int((2.0 * gain) ** (1.0 / order) * delay / (2.0 * math.pi)) + 2)
+        omega_k = ((2.0 - order) * math.pi / 2.0 + 2.0 * math.pi * k) / delay
+        modulus = 2.0 * gain * omega_k ** -order
+        assume(np.abs(modulus - 1.0).min() > 1e-6)
+        assert roots == 2 * np.count_nonzero(modulus > 1.0)
+
+    @pytest.mark.parametrize("gain, delay, order, roots",
+                             [(100.0, 1.0, 1.0, 64), (400.0, 0.5, 1.0, 128), (10.0, 1.5, 0.6, 70)])
+    def test_pair_many_roots_exact(self, gain, delay, order, roots):
+        assert uniform_roots(pair_graph(), pair_agents(0.0, order=order), delay, gain) == roots
 
     def test_count_matches_branch_matched_crossings(self):
         # The old evidence, a branch-matched locus crossing the real axis
