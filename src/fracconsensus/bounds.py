@@ -29,6 +29,10 @@ class InapplicableBoundError(ValueError):
     """The requested bound's hypotheses do not hold for this input."""
 
 
+class BoundTooLargeError(OverflowError):
+    """The delay bound itself is past the float range: the gain or the orders are too small."""
+
+
 def _check_gain(gain: float) -> None:
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be positive, got {gain}")
@@ -43,7 +47,8 @@ def _root_bound(gain: float, scale: float, order: float) -> float:
     """``pi / (2*(gain*scale)**(1/order))``, the form both bounds share.
 
     ``scale`` is finite (``Digraph`` keeps ``2*dmax``, and so ``rho``, finite);
-    raises ``OverflowError`` naming the gain when the power overflows.
+    raises ``OverflowError`` naming the gain when the power overflows. The
+    result is infinite when the power underflows; ``_smallest`` rejects that.
     """
     try:
         root = (gain * scale) ** (1.0 / order)
@@ -52,7 +57,17 @@ def _root_bound(gain: float, scale: float, order: float) -> float:
     if math.isinf(root):
         raise OverflowError(f"gain {gain:.6g} overflows the delay bound "
                             f"(gain*{scale:.6g})**(1/{order:g})")
-    return math.pi / 2.0 / root  # not pi / (2*root): 2*root can overflow
+    return math.pi / 2.0 / root if root else math.inf  # not pi / (2*root): 2*root can overflow
+
+
+def _smallest(gain: float, scale: float, orders) -> tuple[float, float]:
+    """Smallest ``_root_bound`` over ``orders`` and the order attaining it;
+    raises ``BoundTooLargeError`` when even that bound is not finite."""
+    bound, order = min((_root_bound(gain, scale, a), a) for a in sorted(orders))
+    if math.isinf(bound):
+        raise BoundTooLargeError(f"gain {gain:.6g} puts the delay bound "
+                                 f"pi/2/(gain*{scale:.6g})**(1/{order:g}) past the float range")
+    return bound, order
 
 
 def _max_degree(g: Digraph) -> float:
@@ -70,7 +85,7 @@ def degree_delay_bound(g: Digraph, gain: float, order: float) -> float:
     """
     _check_gain(gain)
     _check_order(order)
-    return _root_bound(gain, 2.0 * _max_degree(g), order)
+    return _smallest(gain, 2.0 * _max_degree(g), [order])[0]
 
 
 def _spectral_radius(g: Digraph) -> float:
@@ -90,7 +105,7 @@ def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
     """Delay bound from the Laplacian spectral radius; symmetric weights only."""
     _check_gain(gain)
     _check_order(order)
-    return _root_bound(gain, _spectral_radius(g), order)
+    return _smallest(gain, _spectral_radius(g), [order])[0]
 
 
 def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:
@@ -116,8 +131,10 @@ def mixed_order_delay_bound(g: Digraph, gain: float, orders) -> tuple[float, flo
     distinct = sorted(set(float(a) for a in orders))
     if not distinct:
         raise ValueError("need at least one order")
-    best = min(((degree_delay_bound(g, gain, a), a) for a in distinct), key=lambda t: t[0])
-    return best
+    _check_gain(gain)
+    for a in distinct:
+        _check_order(a)
+    return _smallest(gain, 2.0 * _max_degree(g), distinct)
 
 
 def gain_delay_curve(
@@ -165,7 +182,7 @@ def bound_report(g: Digraph, gain: float, agents) -> BoundReport:
     skipped: list[tuple[str, str]] = []
     try:
         rho = _spectral_radius(g)
-        spectral = min(_root_bound(gain, rho, a) for a in orders)
+        spectral = _smallest(gain, rho, orders)[0]
     except InapplicableBoundError as exc:
         spectral = None
         skipped.append(("spectral_bound", str(exc)))

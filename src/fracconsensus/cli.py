@@ -100,6 +100,8 @@ def cmd_curve(args) -> int:
                                         args.samples)
     except MemoryError as exc:
         raise ValueError(f"--samples {args.samples} is too large: {exc}") from exc
+    except bounds.BoundTooLargeError as exc:
+        raise ValueError(f"--gamma-min {args.gamma_min:g} is too small: {exc}") from exc
     except OverflowError as exc:
         raise ValueError(f"--gamma-max {args.gamma_max:g} is too large: {exc}") from exc
     buf = io.StringIO()

@@ -191,7 +191,8 @@ class _HistorySum:
     Short products use one cached Toeplitz matrix of ``2 * width`` rows per
     width; long ones use weight transforms, cached per ``(off, width)``
     unless ``keep`` is false, and run one agent at a time, so the
-    transforms of a wide level are never all held at once.
+    transforms of a wide level are never all held at once. ``add`` is the
+    only evaluator of the sum, also when ``simulate`` redoes a block.
     """
 
     def __init__(self, orders, count: int):
@@ -236,13 +237,6 @@ class _HistorySum:
         if cached is None and keep:
             self.spectra[(off, width)] = spectra
 
-    def step(self, src: np.ndarray, t: int) -> np.ndarray:
-        """``sum_{m <= t} b[i, t - m] * src[i, m]``: one row of the near
-        field, from ``src[:, :t+1]`` alone."""
-        return np.array(
-            [self.weights[order][t::-1].dot(row[: t + 1]) for row, order in zip(src, self.orders)]
-        )
-
 
 def simulate(scenario: "Scenario") -> Trajectory:
     """Integrate the delayed closed loop of a validated scenario.
@@ -272,7 +266,9 @@ def simulate(scenario: "Scenario") -> Trajectory:
     interpreter cost per block, so a zero delay, with one-step blocks, is
     the slow case. States before t = 0 equal the initial state. Delays are
     rounded to the nearest grid multiple. Stepping stops early with
-    ``diverged_at`` set at the first step whose state is not finite.
+    ``diverged_at`` set at the first step whose state is not finite: a block
+    that goes non-finite is redone by one product over the inputs before
+    its first non-finite input, whose own step is non-finite.
     """
     g = scenario.graph
     n = g.n
@@ -340,18 +336,15 @@ def simulate(scenario: "Scenario") -> Trajectory:
                 if np.isfinite(new).all():
                     target[...] = new
                     continue
-                # Redo the block one step at a time: a non-finite input
-                # poisons the earlier rows of the masked product (0 * inf)
-                # and the FFT.
-                for t in range(stop - start):
-                    row = target[:, t] + history.step(panel, start - first + t)
-                    if not np.isfinite(row).all():
-                        k = start + t + 1
-                        return Trajectory(
-                            times=np.arange(k) * h,
-                            states=states[:, pad : pad + k].copy(),
-                            diverged_at=k * h,
-                        )
-                    target[:, t] = row
+                # A non-finite input poisons earlier rows (0 * inf in the masked
+                # product, and the FFT), so they are redone from the inputs before
+                # it; its own row is non-finite (b_0 = 1).
+                bad = np.append(np.isfinite(inputs[:, start:stop]).all(axis=0), False).argmin()
+                if bad:
+                    src = panel[:, : start - first + bad]
+                    history.add(target[:, :bad], start - first, span, src)
+                k = start + np.append(np.isfinite(target[:, :bad]).all(axis=0), False).argmin() + 1
+                states = states[:, pad : pad + k].copy()
+                return Trajectory(times=np.arange(k) * h, states=states, diverged_at=k * h)
 
     return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad:])

@@ -197,11 +197,15 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
         reach = scale * omegas[0] ** -orders
         bottom, top = (gain * reach).max(), (gain * scale * omegas[-1] ** -orders).max()
         inside = ((gain * scale) ** (1.0 / orders)).max()  # every |lambda| < 1 above this
-    if not np.isfinite(reach).all():
-        raise ValueError(f"key 'edges' is invalid: G(jw) overflows at omega {omegas[0]:.6g}")
     if not np.isfinite(bottom):
-        raise ValueError(f"key 'gain' is invalid: G(jw) overflows at omega {omegas[0]:.6g} "
-                         f"with gain {gain:.6g}")
+        overflow = f"G(jw) overflows at omega {omegas[0]:.6g}"
+        if tau > 0.0 and omegas[0] == math.pi / (2.0 * tau):  # the largest delay set the bottom
+            i = [a.delay for a in agents].index(tau)
+            raise ValueError(f"key 'agents[{i}].delay' is invalid: {overflow}, the critical "
+                             f"frequency of agent {agents[i].id}'s delay {tau:.6g}")
+        if not np.isfinite(reach).all():
+            raise ValueError(f"key 'edges' is invalid: {overflow}")
+        raise ValueError(f"key 'gain' is invalid: {overflow} with gain {gain:.6g}")
 
     points, phase = omegas, _det_phase(omegas, lap, gain, agents)
     for rounds in range(REFINE_ROUNDS + 1):
@@ -213,7 +217,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
         split = np.flatnonzero(unresolved)
         if not split.size or rounds == REFINE_ROUNDS:
             break
-        mid = np.sqrt(points[split] * points[split + 1])
+        mid = np.sqrt(points[split]) * np.sqrt(points[split + 1])  # the product can underflow
         points = np.insert(points, split + 1, mid)
         phase = np.insert(phase, split + 1, _det_phase(mid, lap, gain, agents))
     unwrapped = np.concatenate(([0.0], np.cumsum(turns)))
@@ -235,7 +239,8 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
             if c_p == c_q:
                 continue
             if q == p + 1:
-                events.append(CrossingEvent(math.sqrt(points[p] * points[q]), c_q - c_p))
+                events.append(CrossingEvent(math.sqrt(points[p]) * math.sqrt(points[q]),
+                                            c_q - c_p))
             else:
                 m = (p + q) // 2
                 c_m = count(m)

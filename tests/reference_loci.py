@@ -111,12 +111,12 @@ def reference_count(g, agents, gain: float, omegas: np.ndarray):
         jumps = np.rint((s_hi - s_lo) / (2.0 * math.pi))
         resolved = np.abs(s_hi - s_lo - 2.0 * math.pi * jumps) <= RESOLVED_STEP
         resolved &= ((hi - lo) * tau <= RESOLVED_STEP) | (lo >= inside)
-        events += [(math.sqrt(lo[k] * hi[k]), int(jumps[k]))
+        events += [(math.sqrt(lo[k]) * math.sqrt(hi[k]), int(jumps[k]))
                    for k in np.flatnonzero(resolved & (jumps != 0.0))]
         lo, hi, s_lo, s_hi = (a[~resolved] for a in (lo, hi, s_lo, s_hi))
         if not lo.size or not rounds_left:
             break
-        mid = np.sqrt(lo * hi)
+        mid = np.sqrt(lo) * np.sqrt(hi)
         s_mid = phase_sum(mid)
         lo, hi, s_lo, s_hi = (np.concatenate(pair) for pair in
                               ((lo, mid), (mid, hi), (s_lo, s_mid), (s_mid, s_hi)))

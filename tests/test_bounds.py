@@ -56,6 +56,13 @@ class TestDegreeBound:
         g = Digraph.from_edges(2, [(1, 2, 0.75)])
         assert degree_delay_bound(g, 1e308, 1.0) == math.pi / 2.0 / 1.5e308 > 0.0
 
+    @pytest.mark.parametrize("gain, order", [(1e-300, 0.9), (1e-278, 0.9), (0.2, 1e-3)])
+    def test_bound_past_the_float_range_is_rejected(self, gain, order):
+        # (2*gain)**(1/order) underflows to 0 or to a subnormal whose
+        # reciprocal is infinite.
+        with pytest.raises(bounds.BoundTooLargeError, match="past the float range"):
+            degree_delay_bound(demo_graph(), gain, order)
+
     def test_rejects_bad_gain_and_order(self):
         with pytest.raises(ValueError, match="gain"):
             degree_delay_bound(demo_graph(), 0.0, 0.9)
@@ -222,6 +229,11 @@ class TestMixedOrderBound:
         bound, order = mixed_order_delay_bound(demo_graph(), 0.2, (1.0, 0.9))
         assert order == 1.0
         assert bound == pytest.approx(degree_delay_bound(demo_graph(), 0.2, 1.0))
+
+    def test_finite_minimum_beside_an_infinite_bound(self):
+        # At order 0.9 the bound is past the float range; the order-1 one is not.
+        assert mixed_order_delay_bound(demo_graph(), 1e-300, (1.0, 0.9)) == (
+            math.pi / 2.0 / 2e-300, 1.0)
 
 
 class TestBoundReport:

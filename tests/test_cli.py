@@ -250,6 +250,81 @@ class TestGainOverflow:
                                  "with gain 1e+306\n")
 
 
+class TestBoundPastFloatRange:
+    """A delay bound is finite and positive, or the command exits 2 naming the gain."""
+
+    @staticmethod
+    def config(tmp_path, gain=1.0, order=None):
+        payload = json.loads(CONFIG.read_text())
+        payload["gain"] = gain
+        for agent in payload["agents"]:
+            agent["order"] = order or agent["order"]
+        path = tmp_path / "tiny_gain.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_bound_prints_the_finite_smallest_bound(self, tmp_path, capsys):
+        # The order-0.9 bound is past the float range, the order-1 one is 7.85e299.
+        assert run_cli(["bound", self.config(tmp_path, gain=1e-300)]) == 0
+        captured = capsys.readouterr()
+        assert "degree bound: 7.85398e+299\n" in captured.out
+        assert captured.err == ""
+
+    def test_bound_names_the_gain(self, tmp_path, capsys):
+        assert run_cli(["bound", self.config(tmp_path, gain=1e-278, order=0.9)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: key 'gain' is invalid: gain 1e-278 puts the delay bound "
+                                "pi/2/(gain*2)**(1/0.9) past the float range\n")
+
+    def test_curve_at_tiny_gains(self, capsys):
+        assert run_cli(["curve", str(CONFIG), "--gamma-min", "1e-300",
+                        "--gamma-max", "1e-299"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "1e-300,7.853981634e+299"
+        assert len(lines) == 51
+
+    def test_curve_names_gamma_min(self, tmp_path, capsys):
+        assert run_cli(["curve", self.config(tmp_path, order=1e-3)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --gamma-min 0.2 is too small: gain 0.2 ")
+        assert captured.err.count("\n") == 1
+
+
+class TestHugeDelay:
+    """Delays of 1e300 put the grid bottom at omega pi/(2*tau) = 1.57e-300."""
+
+    @staticmethod
+    def config(tmp_path, weight_scale=1.0):
+        payload = json.loads((GOLDEN / "symmetric_integer_4agent.json").read_text())
+        for agent in payload["agents"]:
+            agent["delay"] = 1e300
+        for edge in payload["edges"]:
+            edge[2] *= weight_scale
+        path = tmp_path / "huge_delay.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_certify_bisects_below_1e_154(self, tmp_path):
+        # The geometric midpoint of two grid points there underflows if
+        # taken as sqrt(p*q).
+        result = TestModuleEntryPoint.run_module("certify", self.config(tmp_path))
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert "right-half-plane roots: unresolved\n" in result.stdout
+        assert result.stdout.endswith("verdict: Inconclusive\n")
+
+    def test_certify_names_the_delay(self, tmp_path):
+        # The weights times 1e10 overflow G(jw) at the grid bottom, not at 1e-3.
+        result = TestModuleEntryPoint.run_module("certify", self.config(tmp_path, 1e10))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: key 'agents[0].delay' is invalid: G(jw) overflows at "
+                                 "omega 1.5708e-300, the critical frequency of agent 1's "
+                                 "delay 1e+300\n")
+
+
 class TestEdgeOverflow:
     """Edge weights whose row sums overflow exit 2 naming the edges, not the gain."""
 

@@ -423,18 +423,27 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize(
         "scenario",
         [
+            # Slow growth: the far-field FFTs sum inputs near the overflow
+            # threshold for many steps before the first state overflows.
             fractional_pair(3, 316.0, horizon=3.0),
             pair_scenario(delay=0.009, gain=271.0, horizon=10.0),
+            # Lag 60: 61-step blocks, so the in-block products run through
+            # the FFT; the first non-finite state is the 17th of its block.
+            pair_scenario(delay=0.06, gain=1e4, horizon=20.0),
+            fractional_pair(80, 1e5, horizon=20.0),
+            # The very first input overflows: nothing precedes it to redo.
+            pair_scenario(delay=0.06, initial=(1e308, -1e308)),
+            pair_scenario(initial=(1e308, -1e308)),
         ],
-        ids=["fractional", "integer"],
+        ids=["fractional", "integer", "integer_fft_block", "fractional_fft_block",
+             "first_input_fft_block", "first_input_zero_lag"],
     )
     def test_divergence_through_wide_fft_levels(self, scenario):
-        # Slow growth: the far-field FFTs sum inputs near the overflow
-        # threshold for many steps before the first state overflows.
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert ref.diverged_at is not None
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
+        assert np.all(np.isfinite(traj.states))
 
     def test_divergent_fractional_pair_mid_block(self):
         # Lag 9: ten-step blocks; the first non-finite state is step 1014,
