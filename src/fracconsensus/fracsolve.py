@@ -178,6 +178,9 @@ def _fft_size(n: int) -> int:
 # matrix products, and blocks shorter than this are grouped into panels of up
 # to this many steps; longer products run through the FFT.
 DIRECT_MAX = 48
+# An FFT product of transform size ``size`` transforms ``max(1, FFT_BATCH //
+# size)`` agents' rows at once, which bounds the memory of the widest levels.
+FFT_BATCH = 2**15
 
 
 class _HistorySum:
@@ -187,20 +190,22 @@ class _HistorySum:
 
     ``width`` is the number of sources of a full product: ``off < width``
     gives the in-panel (near-field) products, ``off = width`` the far-field
-    product of the dyadic scheme. Agents of one order share their weights.
-    Short products use one cached Toeplitz matrix of ``2 * width`` rows per
-    width; long ones use weight transforms, cached per ``(off, width)``
-    unless ``keep`` is false, and run one agent at a time, so the
-    transforms of a wide level are never all held at once. ``add`` is the
-    only evaluator of the sum, also when ``simulate`` redoes a block.
+    product of the dyadic scheme. The weights are one row per distinct
+    order, and ``rank[i]`` is agent ``i``'s row. Short products use one
+    cached Toeplitz matrix of ``2 * width`` rows per width; long ones use
+    weight transforms, cached per ``(off, width)`` unless ``keep`` is false,
+    and transform up to ``FFT_BATCH // size`` agents' rows together; without
+    the cache only the orders of the rows at hand are transformed. Each row
+    is scaled by its own power of two first, so no transform overflows
+    before the sum it computes does. ``add`` is the only evaluator of the
+    sum, also when ``simulate`` redoes a panel.
     """
 
     def __init__(self, orders, count: int):
-        self.orders = orders
-        self.agents = {}
-        for i, order in enumerate(orders):
-            self.agents.setdefault(order, []).append(i)
-        self.weights = {order: integral_weights(order, count) for order in self.agents}
+        # Not np.unique: its first call imports numpy.ma (~0.6 MB traced).
+        distinct = list(dict.fromkeys(orders))
+        self.rank = np.array([distinct.index(order) for order in orders])
+        self.weights = np.stack([integral_weights(order, count) for order in distinct])
         self.toeplitz = {}
         self.spectra = {}
 
@@ -210,32 +215,29 @@ class _HistorySum:
             mat = self.toeplitz.get(width)
             if mat is None:
                 idx = np.arange(2 * width)[:, None] - np.arange(width)
-                mats = {}
-                for order, b in self.weights.items():
-                    mats[order] = np.where(idx < 0, 0.0, b.take(idx, mode="clip"))
-                mat = self.toeplitz[width] = np.stack([mats[order] for order in self.orders])
+                mats = np.where(idx < 0, 0.0, self.weights.take(idx, axis=1, mode="clip"))
+                mat = self.toeplitz[width] = mats[self.rank]
             out += np.matmul(mat[:, off : off + rows, : src.shape[1]], src[:, :, None])[:, :, 0]
             return
         size = _fft_size(2 * width)
         lo = max(off - width + 1, 0)
-        cached = self.spectra.get((off, width))
-        spectra = {}
-        for order, agents in self.agents.items():
-            if cached is not None:
-                kernel = cached[order]
-            else:
-                kernel = np.fft.rfft(self.weights[order][lo : off + width], size)
-                if keep:
-                    spectra[order] = kernel
-            for i in agents:
-                # Scaling by an exact power of two keeps the transform from
-                # overflowing before the sum it computes does.
-                scale = np.frexp(max(src[i].max(), -src[i].min()))[1]
-                spec = np.fft.rfft(np.ldexp(src[i], -scale), size)
-                spec *= kernel
-                out[i] += np.ldexp(np.fft.irfft(spec, size)[off - lo : off - lo + rows], scale)
-        if cached is None and keep:
-            self.spectra[(off, width)] = spectra
+        weights = self.weights[:, lo : off + width]
+        spectra = self.spectra.get((off, width))
+        if spectra is None and keep:
+            spectra = self.spectra[(off, width)] = np.fft.rfft(weights, size)
+        batch = max(1, FFT_BATCH // size)
+        for i in range(0, out.shape[0], batch):
+            part = src[i : i + batch]
+            scale = np.frexp(np.maximum(part.max(axis=1), -part.min(axis=1)))[1][:, None]
+            spec = np.fft.rfft(np.ldexp(part, -scale), size)
+            rank = self.rank[i : i + batch]
+            # Each row takes the weight transform of its own order.
+            for r in set(rank.tolist()):
+                kernel = np.fft.rfft(weights[r], size) if spectra is None else spectra[r]
+                np.multiply(spec, kernel, out=spec, where=(rank == r)[:, None])
+            out[i : i + batch] += np.ldexp(
+                np.fft.irfft(spec, size)[:, off - lo : off - lo + rows], scale
+            )
 
 
 def simulate(scenario: "Scenario") -> Trajectory:
@@ -266,9 +268,11 @@ def simulate(scenario: "Scenario") -> Trajectory:
     interpreter cost per block, so a zero delay, with one-step blocks, is
     the slow case. States before t = 0 equal the initial state. Delays are
     rounded to the nearest grid multiple. Stepping stops early with
-    ``diverged_at`` set at the first step whose state is not finite: a block
-    that goes non-finite is redone by one product over the inputs before
-    its first non-finite input, whose own step is non-finite.
+    ``diverged_at`` set at the first step whose state is not finite.
+    Finiteness is checked once per panel: a panel that goes non-finite is
+    restored from a copy taken before its first block and redone by one
+    product over the inputs before its first non-finite input, whose own
+    step is non-finite.
     """
     g = scenario.graph
     n = g.n
@@ -310,6 +314,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(panels):
             first = p * span
+            last = min(first + span, steps)
             if p:
                 # Far field. A level's weight transforms stay cached while
                 # two more uses follow; the widest levels recompute them
@@ -322,29 +327,32 @@ def simulate(scenario: "Scenario") -> Trajectory:
                     width, width, inputs[:, first - width : first],
                     keep=p + 4 * level < panels,
                 )
-            for start in range(first, min(first + span, steps), block):
+            # Blocks add straight into the panel's states, and finiteness is
+            # checked once per panel; a redo starts again from ``saved``.
+            target = states[:, pad + first + 1 : pad + last + 1]
+            saved = target.copy()
+            for start in range(first, last, block):
                 stop = min(start + block, steps)
                 # lagged[j, i, t] = x_j(t_{start+t} - tau_i): one gather per block.
                 lagged = states.take(cols[:, : stop - start] + start, axis=1)
                 # Differences first: identical states give exactly zero input.
                 u = -gain * (coupling * (lagged.diagonal().T - lagged)).sum(axis=0)
                 inputs[:, start:stop] = step_pow * u
-                panel = inputs[:, first:stop]
-                target = states[:, pad + start + 1 : pad + stop + 1]
-                new = target.copy()
-                history.add(new, start - first, span, panel)
-                if np.isfinite(new).all():
-                    target[...] = new
-                    continue
-                # A non-finite input poisons earlier rows (0 * inf in the masked
-                # product, and the FFT), so they are redone from the inputs before
-                # it; its own row is non-finite (b_0 = 1).
-                bad = np.append(np.isfinite(inputs[:, start:stop]).all(axis=0), False).argmin()
-                if bad:
-                    src = panel[:, : start - first + bad]
-                    history.add(target[:, :bad], start - first, span, src)
-                k = start + np.append(np.isfinite(target[:, :bad]).all(axis=0), False).argmin() + 1
-                states = states[:, pad : pad + k].copy()
-                return Trajectory(times=np.arange(k) * h, states=states, diverged_at=k * h)
+                history.add(
+                    target[:, start - first : stop - first], start - first, span,
+                    inputs[:, first:stop],
+                )
+            if np.isfinite(target).all():
+                continue
+            # A non-finite input poisons earlier rows (0 * inf in the masked
+            # product, and the FFT), so the panel is redone from the inputs
+            # before it; its own row is non-finite (b_0 = 1).
+            target[...] = saved
+            bad = np.append(np.isfinite(inputs[:, first:last]).all(axis=0), False).argmin()
+            if bad:
+                history.add(target[:, :bad], 0, span, inputs[:, first : first + bad])
+            k = first + np.append(np.isfinite(target[:, :bad]).all(axis=0), False).argmin() + 1
+            states = states[:, pad : pad + k].copy()
+            return Trajectory(times=np.arange(k) * h, states=states, diverged_at=k * h)
 
     return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad:])

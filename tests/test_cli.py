@@ -153,6 +153,26 @@ class TestGoldenOutput:
         assert captured.out == (GOLDEN / f"{config.stem}.{command}.out").read_text()
         assert captured.err == ""
 
+    # simulate's default stdout is the trajectory CSV; its verdict goes to
+    # stderr. symmetric_mixed_4agent is left out: it does not converge, and
+    # simulate exits 1 on it.
+    @pytest.mark.parametrize(
+        "config, verdict",
+        [
+            (CONFIG, "verdict: Converged  final_spread: 0.00175445  consensus_value: 0.47386\n"),
+            (
+                GOLDEN / "symmetric_integer_4agent.json",
+                "verdict: Converged  final_spread: 5.25562e-09  consensus_value: 0.6\n",
+            ),
+        ],
+        ids=["mixed_order_4agent", "symmetric_integer_4agent"],
+    )
+    def test_simulate_output(self, capsys, config, verdict):
+        assert run_cli(["simulate", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / f"{config.stem}.simulate.out").read_text()
+        assert captured.err == verdict
+
 
 class TestCertifyCommand:
     def test_pass_exit_zero(self, capsys):

@@ -18,7 +18,7 @@ from fracconsensus import (
     gl_coefficients,
     simulate,
 )
-from fracconsensus.fracsolve import DIRECT_MAX, _HistorySum, integral_weights
+from fracconsensus.fracsolve import DIRECT_MAX, FFT_BATCH, _HistorySum, _fft_size, integral_weights
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
 
@@ -100,6 +100,31 @@ class TestHistorySum:
             expected = np.ldexp(product[off : off + width], 600)
             assert np.all(np.isfinite(expected))
             assert np.max(np.abs(out[i] - expected)) <= 1e-12 * 1e306
+
+    @pytest.mark.parametrize("off", [0, 8192])
+    def test_fft_batch_scales_each_row(self, off):
+        # One transform holds two of the three rows, so the rows near 1e306
+        # and 1e-300 share a transform: a scale shared between them would
+        # flush the small row to zero.
+        orders, width = [0.6, 1.0, 0.3], 8192
+        assert FFT_BATCH // _fft_size(2 * width) < len(orders)
+        history = _HistorySum(orders, 2 * width)
+        alternating = (-1.0) ** np.arange(width)
+        rng = np.random.default_rng(5)
+        src = np.stack([
+            1e306 * alternating,
+            1e-300 * rng.uniform(0.5, 1.0, width) * alternating,
+            np.zeros(width),
+        ])
+        out = np.zeros((3, width))
+        history.add(out, off, width, src)
+        for i, order in enumerate(orders):
+            # The oracle scales each row by its own exact power of two.
+            scale = np.frexp(np.max(np.abs(src[i])))[1]
+            product = np.convolve(integral_weights(order, 2 * width), np.ldexp(src[i], -scale))
+            expected = np.ldexp(product[off : off + width], scale)
+            assert np.all(np.isfinite(expected))
+            assert np.max(np.abs(out[i] - expected)) <= 1e-11 * np.max(np.abs(src[i]))
 
 
 class TestCaputoOfMonomial:
@@ -348,14 +373,19 @@ def fractional_pair(lag_steps, gain, horizon=2.0, orders=(0.8, 0.9)):
     )
 
 
-def widest_level(scenario):
-    """Sources of the widest history product ``simulate`` forms: blocks of
-    ``min lag + 1`` steps, grouped into panels of up to ``DIRECT_MAX`` steps,
-    and dyadic levels of panels."""
+def block_layout(scenario):
+    """Steps, block length and panel length of ``simulate``: blocks of
+    ``min lag + 1`` steps, grouped into panels of up to ``DIRECT_MAX`` steps."""
     h = scenario.solver.step
     steps = int(round(scenario.solver.horizon / h))
     block = min(round(min(a.delay / h, steps)) for a in scenario.agents) + 1
-    span = max(1, DIRECT_MAX // block) * block
+    return steps, block, max(1, DIRECT_MAX // block) * block
+
+
+def widest_level(scenario):
+    """Sources of the widest history product ``simulate`` forms: panels and
+    dyadic levels of panels."""
+    steps, block, span = block_layout(scenario)
     panels = -(-steps // span)
     return span * (1 << ((panels - 1).bit_length() - 1)) if panels > 1 else span
 
@@ -390,6 +420,7 @@ class TestReferenceEquivalence:
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_benchmark_shaped(self, seed):
@@ -421,29 +452,66 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     @pytest.mark.parametrize(
-        "scenario",
+        "scenario, states_match",
         [
             # Slow growth: the far-field FFTs sum inputs near the overflow
             # threshold for many steps before the first state overflows.
-            fractional_pair(3, 316.0, horizon=3.0),
-            pair_scenario(delay=0.009, gain=271.0, horizon=10.0),
+            (fractional_pair(3, 316.0, horizon=3.0), True),
+            (pair_scenario(delay=0.009, gain=271.0, horizon=10.0), True),
             # Lag 60: 61-step blocks, so the in-block products run through
             # the FFT; the first non-finite state is the 17th of its block.
-            pair_scenario(delay=0.06, gain=1e4, horizon=20.0),
-            fractional_pair(80, 1e5, horizon=20.0),
+            # Its states are compared in test_integer_fft_block_states.
+            (pair_scenario(delay=0.06, gain=1e4, horizon=20.0), False),
+            (fractional_pair(80, 1e5, horizon=20.0), True),
             # The very first input overflows: nothing precedes it to redo.
-            pair_scenario(delay=0.06, initial=(1e308, -1e308)),
-            pair_scenario(initial=(1e308, -1e308)),
+            (pair_scenario(delay=0.06, initial=(1e308, -1e308)), True),
+            (pair_scenario(initial=(1e308, -1e308)), True),
         ],
         ids=["fractional", "integer", "integer_fft_block", "fractional_fft_block",
              "first_input_fft_block", "first_input_zero_lag"],
     )
-    def test_divergence_through_wide_fft_levels(self, scenario):
+    def test_divergence_through_wide_fft_levels(self, scenario, states_match):
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert ref.diverged_at is not None
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
         assert np.all(np.isfinite(traj.states))
+        if states_match:
+            assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="1.16e-12 measured: rounding in the 61-step in-block FFT products "
+        "grows over the run (8.0e-16 with direct products)",
+    )
+    def test_integer_fft_block_states(self):
+        scenario = pair_scenario(delay=0.06, gain=1e4, horizon=20.0)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scenario, first_bad, final_panel",
+        [
+            # 12-step blocks in panels of 48 steps: state 1199 is fed by
+            # input 1198, in the last block of the panel from step 1152.
+            (fractional_pair(11, 1e5), 1199, False),
+            # 5-step blocks in panels of 45 steps: 537 steps leave a final
+            # panel of 42 from step 495, whose input 531 feeds state 532.
+            (fractional_pair(4, 1e5, horizon=0.537), 532, True),
+        ],
+        ids=["panel_last_block", "final_partial_panel"],
+    )
+    def test_divergence_redone_over_the_panel(self, scenario, first_bad, final_panel):
+        steps, block, span = block_layout(scenario)
+        if final_panel:
+            assert steps % span and first_bad - 1 >= steps - steps % span
+        else:
+            assert (first_bad - 1) % span // block == span // block - 1
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape == (2, first_bad)
+        assert np.all(np.isfinite(traj.states))
+        assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_divergent_fractional_pair_mid_block(self):
         # Lag 9: ten-step blocks; the first non-finite state is step 1014,
