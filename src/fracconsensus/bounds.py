@@ -18,7 +18,7 @@ minimum over the agents' orders, and these two only when every order is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,7 @@ def degree_delay_bound(g: Digraph, gain: float, order: float) -> float:
     The consensus conclusion additionally needs a node whose influence
     reaches the whole graph; this function only evaluates the bound value.
     """
-    _check_gain(gain)
-    _check_order(order)
-    return _smallest(gain, 2.0 * _max_degree(g), [order])[0]
+    return mixed_order_delay_bound(g, gain, [order])[0]
 
 
 def _spectral_radius(g: Digraph) -> float:
@@ -168,10 +166,10 @@ class BoundReport:
     gain: float
     order_used: float
     degree_bound: float
-    spectral_bound: float | None = None
-    integer_bound: float | None = None
-    shared_bound: float | None = None
-    skipped: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    spectral_bound: float | None
+    integer_bound: float | None
+    shared_bound: float | None
+    skipped: tuple[tuple[str, str], ...]
 
 
 def bound_report(g: Digraph, gain: float, agents) -> BoundReport:

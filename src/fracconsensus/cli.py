@@ -28,10 +28,9 @@ def _emit(text: str, out_path) -> None:
         sc.atomic_write_text(out_path, text)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, scen) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
-    scen = sc.parse_scenario(args.scenario)
     traj, result = sc.run_scenario(scen)
     buf = io.StringIO()
     sc.write_trajectory_csv(traj, buf, stride=args.stride)
@@ -45,8 +44,7 @@ def cmd_simulate(args) -> int:
     return 0 if result.verdict is sc.ConvergenceVerdict.CONVERGED else 1
 
 
-def cmd_bound(args) -> int:
-    scen = sc.parse_scenario(args.scenario)
+def cmd_bound(args, scen) -> int:
     try:
         report = bounds.bound_report(scen.graph, scen.gain, scen.agents)
     except OverflowError as exc:
@@ -73,8 +71,7 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
-    scen = sc.parse_scenario(args.scenario)
+def cmd_certify(args, scen) -> int:
     cert = freqcert.certify(scen.graph, scen.agents, scen.gain)
     print("criterion values (per agent):",
           " ".join(f"{v:.6g}" for v in cert.criterion_values))
@@ -92,8 +89,7 @@ def cmd_certify(args) -> int:
     return 0 if cert.verdict is freqcert.Verdict.PASS else 1
 
 
-def cmd_curve(args) -> int:
-    scen = sc.parse_scenario(args.scenario)
+def cmd_curve(args, scen) -> int:
     orders = [a.order for a in scen.agents]
     try:
         pairs = bounds.gain_delay_curve(scen.graph, orders, args.gamma_min, args.gamma_max,
@@ -110,8 +106,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_critical(args) -> int:
-    scen = sc.parse_scenario(args.scenario)
+def cmd_critical(args, scen) -> int:
     tau = sc.bisect_critical_delay(
         scen,
         args.tau_lo,
@@ -172,7 +167,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, sc.parse_scenario(args.scenario))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,9 +102,8 @@ def gl_coefficients(order: float, count: int) -> np.ndarray:
         raise ValueError(f"count must be >= 0, got {count}")
     coeffs = np.empty(count + 1)
     coeffs[0] = 1.0
-    if count:
-        j = np.arange(1, count + 1, dtype=float)
-        coeffs[1:] = np.cumprod(1.0 - (order + 1.0) / j)
+    j = np.arange(1, count + 1, dtype=float)
+    coeffs[1:] = np.cumprod(1.0 - (order + 1.0) / j)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -316,16 +315,15 @@ def simulate(scenario: "Scenario") -> Trajectory:
             first = p * span
             last = min(first + span, steps)
             if p:
-                # Far field. A level's weight transforms stay cached while
-                # two more uses follow; the widest levels recompute them
-                # rather than hold them.
+                # Far field. Level L runs at panels L, 3L, 5L, ...; its weight
+                # transforms are cached only when it runs at least three times.
                 level = p & -p
                 width = level * span
                 end = min(first + width, steps)
                 history.add(
                     states[:, pad + first + 1 : pad + end + 1],
                     width, width, inputs[:, first - width : first],
-                    keep=p + 4 * level < panels,
+                    keep=5 * level < panels,
                 )
             # Blocks add straight into the panel's states, and finiteness is
             # checked once per panel; a redo starts again from ``saved``.

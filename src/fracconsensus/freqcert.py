@@ -200,9 +200,9 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     if not np.isfinite(bottom):
         overflow = f"G(jw) overflows at omega {omegas[0]:.6g}"
         if tau > 0.0 and omegas[0] == math.pi / (2.0 * tau):  # the largest delay set the bottom
-            i = [a.delay for a in agents].index(tau)
-            raise ValueError(f"key 'agents[{i}].delay' is invalid: {overflow}, the critical "
-                             f"frequency of agent {agents[i].id}'s delay {tau:.6g}")
+            agent_id = next(a.id for a in agents if a.delay == tau)
+            raise ValueError(f"key 'agents' is invalid: {overflow}, the critical "
+                             f"frequency of agent {agent_id}'s delay {tau:.6g}")
         if not np.isfinite(reach).all():
             raise ValueError(f"key 'edges' is invalid: {overflow}")
         raise ValueError(f"key 'gain' is invalid: {overflow} with gain {gain:.6g}")

@@ -85,9 +85,6 @@ class Digraph:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.weights, other.weights)
 
-    def __hash__(self):
-        return hash((self.n, self.weights.tobytes()))
-
 
 def degree_vector(g: Digraph) -> np.ndarray:
     """Row sums of the weight matrix (in-degree of each agent); ``Digraph``

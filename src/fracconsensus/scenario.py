@@ -281,8 +281,6 @@ def classify(traj: Trajectory, converged_tol: float = CONVERGED_TOL) -> Classifi
         diverged = True
 
     tail = spreads[int(0.8 * (spreads.size - 1)):]
-    if tail.size < 2:
-        tail = spreads[-2:] if spreads.size >= 2 else spreads
     half = tail.size // 2
     peak_early = float(tail[:half].max()) if half else float(tail.max())
     peak_late = float(tail[half:].max())

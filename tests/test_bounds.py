@@ -236,6 +236,21 @@ class TestMixedOrderBound:
             math.pi / 2.0 / 2e-300, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: spectral_delay_bound(Digraph(n=1, weights=[[0.0]]), 1.0, 1.0),
+         "spectral_delay_bound requires at least one edge"),
+        (lambda: max_gain_for_delay(demo_graph(), 0.9, 0.0), "delay must be positive, got 0.0"),
+        (lambda: mixed_order_delay_bound(demo_graph(), 1.0, ()), "need at least one order"),
+    ],
+    ids=["one_node_spectral", "nonpositive_delay", "no_orders"],
+)
+def test_rejection_names_its_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestBoundReport:
     def test_demo_graph_report(self):
         report = bound_report(demo_graph(), 1.0, agents(DEMO_ORDERS))

@@ -173,6 +173,17 @@ class TestGoldenOutput:
         assert captured.out == (GOLDEN / f"{config.stem}.simulate.out").read_text()
         assert captured.err == verdict
 
+    # --out writes the same bytes the command prints by default.
+    @pytest.mark.parametrize("command", ["curve", "simulate"])
+    @pytest.mark.parametrize(
+        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json"], ids=lambda p: p.stem,
+    )
+    def test_out_file(self, tmp_path, capsys, config, command):
+        out = tmp_path / f"{command}.csv"
+        assert run_cli([command, str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == (GOLDEN / f"{config.stem}.{command}.out").read_text()
+
 
 class TestCertifyCommand:
     def test_pass_exit_zero(self, capsys):
@@ -316,10 +327,13 @@ class TestHugeDelay:
     """Delays of 1e300 put the grid bottom at omega pi/(2*tau) = 1.57e-300."""
 
     @staticmethod
-    def config(tmp_path, weight_scale=1.0):
+    def config(tmp_path, weight_scale=1.0, ids=(1, 2, 3, 4), reverse=False):
         payload = json.loads((GOLDEN / "symmetric_integer_4agent.json").read_text())
         for agent in payload["agents"]:
-            agent["delay"] = 1e300
+            if agent["id"] in ids:
+                agent["delay"] = 1e300
+        if reverse:
+            payload["agents"].reverse()
         for edge in payload["edges"]:
             edge[2] *= weight_scale
         path = tmp_path / "huge_delay.json"
@@ -337,12 +351,16 @@ class TestHugeDelay:
 
     def test_certify_names_the_delay(self, tmp_path):
         # The weights times 1e10 overflow G(jw) at the grid bottom, not at 1e-3.
-        result = TestModuleEntryPoint.run_module("certify", self.config(tmp_path, 1e10))
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert result.stderr == ("error: key 'agents[0].delay' is invalid: G(jw) overflows at "
-                                 "omega 1.5708e-300, the critical frequency of agent 1's "
-                                 "delay 1e+300\n")
+        # The message names the agent by id, not by position: in the second
+        # file agent 4, listed first, alone has the huge delay.
+        for ids, reverse, agent in [((1, 2, 3, 4), False, 1), ((4,), True, 4)]:
+            path = self.config(tmp_path, 1e10, ids=ids, reverse=reverse)
+            result = TestModuleEntryPoint.run_module("certify", path)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr == ("error: key 'agents' is invalid: G(jw) overflows at "
+                                     "omega 1.5708e-300, the critical frequency of agent "
+                                     f"{agent}'s delay 1e+300\n")
 
 
 class TestEdgeOverflow:

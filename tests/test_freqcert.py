@@ -250,6 +250,12 @@ class TestRootCount:
         scen = parse_scenario(CONFIG)
         assert uniform_roots(scen.graph, scen.agents, delay, scen.gain) == roots
 
+    def test_crossing_below_the_log_grid(self):
+        # The one crossing, (2 - a)*pi/(2*tau) = 7.85e-4 rad/s, lies below the
+        # log grid's 1e-3; only the inserted critical frequencies reach it.
+        # A plain geomspace(1e-3, 1e3, 2000) grid counts 0 roots here.
+        assert uniform_roots(pair_graph(), pair_agents(0.0), 2000.0, 1e-3) == 2
+
     @settings(deadline=None, max_examples=40)
     @given(gain=st.floats(0.1, 400.0), delay=st.floats(0.1, 2.0), order=st.floats(0.3, 1.0))
     @example(gain=300.0, delay=1.5, order=1.0)  # a coarse grid step loses whole turns here

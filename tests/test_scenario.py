@@ -214,13 +214,31 @@ _SLOTS = (
 @st.composite
 def malformed_scenarios(draw):
     """The shipped config (n = 4) with one defect, and the top-level key
-    the error must name."""
+    the error must name (None when the file holds no JSON object)."""
     payload = json.loads(CONFIG.read_text())
     kind = draw(st.sampled_from(
         ["drop", "type", "scalar_type", "non_finite", "agent_id", "edge_id",
-         "duplicate_edge", "memory"]
+         "duplicate_edge", "memory", "top_level", "n_not_positive", "edge_entry",
+         "agent_entry"]
     ))
-    if kind == "drop":
+    if kind == "top_level":
+        # No key to name: the message says the file holds no JSON object.
+        key = None
+        payload = draw(st.one_of(_JUNK, st.integers(), st.lists(st.integers(), max_size=2)))
+    elif kind == "n_not_positive":
+        key = "n"
+        payload["n"] = draw(st.integers(-5, 0))
+    elif kind == "edge_entry":
+        key = "edges"
+        payload["edges"][draw(st.integers(0, 3))] = draw(st.one_of(
+            _JUNK, st.integers(), _SMALL_DICTS,
+            st.lists(st.integers(1, 4), max_size=4).filter(lambda v: len(v) != 3),
+        ))
+    elif kind == "agent_entry":
+        key = "agents"
+        payload["agents"][draw(st.integers(0, 3))] = draw(st.one_of(
+            _JUNK, st.integers(), st.lists(st.integers(), max_size=2)))
+    elif kind == "drop":
         key = draw(st.sampled_from(SCENARIO_KEYS))
         del payload[key]
     elif kind == "type":
@@ -266,7 +284,8 @@ def test_malformed_scenarios_name_their_key(tmp_path, capsys, case):
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario(path)
-    assert re.search(rf"'{key}[\[.']", str(info.value)), str(info.value)
+    expected = "^scenario file must hold a JSON object$" if key is None else rf"'{key}[\[.']"
+    assert re.search(expected, str(info.value)), str(info.value)
     capsys.readouterr()
     assert run_cli(["bound", str(path)]) == 2
     out, err = capsys.readouterr()
