@@ -44,7 +44,6 @@ from .scenario import (
     bisect_critical_delay,
     classify,
     parse_scenario,
-    run_scenario,
     save_scenario,
     scenario_to_dict,
     snap_delay,

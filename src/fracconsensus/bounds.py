@@ -73,7 +73,8 @@ def _smallest(gain: float, scale: float, orders) -> tuple[float, float]:
 def _max_degree(g: Digraph) -> float:
     dmax = float(degree_vector(g).max())
     if dmax <= 0.0:
-        raise InapplicableBoundError("graph has no edges; the delay bound is undefined")
+        raise InapplicableBoundError(
+            "key 'edges' is invalid: graph has no edges; the delay bound is undefined")
     return dmax
 
 
@@ -163,7 +164,6 @@ class BoundReport:
     hypotheses fail; ``skipped`` pairs each missing bound name with the reason.
     """
 
-    gain: float
     order_used: float
     degree_bound: float
     spectral_bound: float | None
@@ -199,6 +199,6 @@ def bound_report(g: Digraph, gain: float, agents) -> BoundReport:
         return None
 
     integer, shared = order_one("integer_bound"), order_one("shared_bound", needs_uniform=True)
-    return BoundReport(gain=gain, order_used=order_used, degree_bound=degree,
+    return BoundReport(order_used=order_used, degree_bound=degree,
                        spectral_bound=spectral, integer_bound=integer, shared_bound=shared,
                        skipped=tuple(skipped))

@@ -31,9 +31,10 @@ def _emit(text: str, out_path) -> None:
 def cmd_simulate(args, scen) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be >= 1, got {args.stride}")
-    traj, result = sc.run_scenario(scen)
+    traj = sc.simulate(scen)
+    result = sc.classify(traj)
     buf = io.StringIO()
-    sc.write_trajectory_csv(traj, buf, stride=args.stride)
+    sc.write_trajectory_csv(traj, buf, args.stride)
     _emit(buf.getvalue(), args.out)
     summary = f"verdict: {result.verdict.value}  final_spread: {result.final_spread:.6g}"
     if result.consensus_value is not None:
@@ -51,7 +52,7 @@ def cmd_bound(args, scen) -> int:
         raise ValueError(f"key 'gain' is invalid: {exc}") from exc
     skipped = dict(report.skipped)
     lines = [
-        f"gain: {report.gain:.6g}",
+        f"gain: {scen.gain:.6g}",
         f"order used: {report.order_used:.6g}",
         f"degree bound: {report.degree_bound:.6g}",
     ]
@@ -85,6 +86,8 @@ def cmd_certify(args, scen) -> int:
         print(f"  encirclement {ev.jump:+d} near omega {ev.omega:.6g}")
     if cert.criterion_pass and loci.jump > 0:
         print(f"criterion passes, but the loci encircle -1 on net {loci.jump} time(s)")
+    if not cert.spanning_root:
+        print("no spanning root: no agent's influence reaches every other agent")
     print(f"verdict: {cert.verdict.value}")
     return 0 if cert.verdict is freqcert.Verdict.PASS else 1
 

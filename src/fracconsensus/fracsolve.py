@@ -58,8 +58,8 @@ class SolverParams:
     """Grid step ``step`` and horizon of the uniform time grid; the history
     sum always runs over the whole Caputo history."""
 
-    step: float = 1e-3
-    horizon: float = 30.0
+    step: float
+    horizon: float
 
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0.0):
@@ -192,12 +192,14 @@ class _HistorySum:
     product of the dyadic scheme. The weights are one row per distinct
     order, and ``rank[i]`` is agent ``i``'s row. Short products use one
     cached Toeplitz matrix of ``2 * width`` rows per width; long ones use
-    weight transforms, cached per ``(off, width)`` unless ``keep`` is false,
-    and transform up to ``FFT_BATCH // size`` agents' rows together; without
-    the cache only the orders of the rows at hand are transformed. Each row
-    is scaled by its own power of two first, so no transform overflows
-    before the sum it computes does. ``add`` is the only evaluator of the
-    sum, also when ``simulate`` redoes a panel.
+    weight transforms and transform up to ``FFT_BATCH // size`` agents' rows
+    together. The weight transforms are cached per ``(off, width)`` when
+    ``5 * width`` is below the step count, which holds exactly when a
+    far-field product recurs at least three times; otherwise only the
+    orders of the rows at hand are transformed. Each row is scaled by its
+    own power of two first, so no transform overflows before the sum it
+    computes does. ``add`` is the only evaluator of the sum, also when
+    ``simulate`` redoes a panel.
     """
 
     def __init__(self, orders, count: int):
@@ -208,7 +210,7 @@ class _HistorySum:
         self.toeplitz = {}
         self.spectra = {}
 
-    def add(self, out: np.ndarray, off: int, width: int, src: np.ndarray, keep: bool = True):
+    def add(self, out: np.ndarray, off: int, width: int, src: np.ndarray):
         rows = out.shape[1]
         if width <= DIRECT_MAX:
             mat = self.toeplitz.get(width)
@@ -222,7 +224,7 @@ class _HistorySum:
         lo = max(off - width + 1, 0)
         weights = self.weights[:, lo : off + width]
         spectra = self.spectra.get((off, width))
-        if spectra is None and keep:
+        if spectra is None and 5 * width < self.weights.shape[1]:
             spectra = self.spectra[(off, width)] = np.fft.rfft(weights, size)
         batch = max(1, FFT_BATCH // size)
         for i in range(0, out.shape[0], batch):
@@ -315,16 +317,11 @@ def simulate(scenario: "Scenario") -> Trajectory:
             first = p * span
             last = min(first + span, steps)
             if p:
-                # Far field. Level L runs at panels L, 3L, 5L, ...; its weight
-                # transforms are cached only when it runs at least three times.
-                level = p & -p
-                width = level * span
+                # Far field: level L runs at panels L, 3L, 5L, ...
+                width = (p & -p) * span
                 end = min(first + width, steps)
-                history.add(
-                    states[:, pad + first + 1 : pad + end + 1],
-                    width, width, inputs[:, first - width : first],
-                    keep=5 * level < panels,
-                )
+                history.add(states[:, pad + first + 1 : pad + end + 1], width, width,
+                            inputs[:, first - width : first])
             # Blocks add straight into the panel's states, and finiteness is
             # checked once per panel; a redo starts again from ``saved``.
             target = states[:, pad + first + 1 : pad + last + 1]

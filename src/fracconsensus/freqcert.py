@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Digraph, degree_vector, laplacian
+from .graph import Digraph, degree_vector, has_spanning_root, laplacian
 
 MAX_DENSE_NODES = 64
 LOCI_CHUNK = 32
@@ -73,6 +73,7 @@ class CertificateResult:
 
     criterion_values: np.ndarray
     criterion_pass: bool
+    spanning_root: bool
     disc_margins: tuple[DiscMargin, ...]
     loci: LociResult
     verdict: Verdict
@@ -184,7 +185,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     counts ``(S(end) - S(start) - sum of changes) / (2*pi)``; bisection over
     its steps places the events, merging opposite events inside one probe
     interval. The root count ``2*jump`` is exact when every step resolves and
-    the largest Gerschgorin row sum of ``|G|`` is at most 1 at the grid top.
+    the grid top lies at or above that Gerschgorin frequency.
     """
     if g.n > MAX_DENSE_NODES:
         raise ValueError(f"key 'n' is invalid: eigen loci limited to {MAX_DENSE_NODES} nodes, "
@@ -195,7 +196,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     tau = max(a.delay for a in agents)
     with np.errstate(over="ignore"):
         reach = scale * omegas[0] ** -orders
-        bottom, top = (gain * reach).max(), (gain * scale * omegas[-1] ** -orders).max()
+        bottom = (gain * reach).max()
         inside = ((gain * scale) ** (1.0 / orders)).max()  # every |lambda| < 1 above this
     if not np.isfinite(bottom):
         overflow = f"G(jw) overflows at omega {omegas[0]:.6g}"
@@ -245,24 +246,26 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
                 m = (p + q) // 2
                 c_m = count(m)
                 pending += [(m, q, c_m, c_q), (p, m, c_p, c_m)]
-    exact = not split.size and top <= 1.0
+    exact = not split.size and omegas[-1] >= inside
     return LociResult(crossings=tuple(events), jump=jump, roots=2 * jump if exact else None)
 
 
 def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     """Run all three evidence channels and combine them into a verdict.
 
-    Pass when the critical-frequency criterion holds; otherwise Fail when
-    the loci encircle -1 on net; otherwise Inconclusive (the criterion is
-    sufficient only, so its failure alone decides nothing).
+    Fail without a spanning root, since no consensus is possible then;
+    otherwise Pass when the critical-frequency criterion holds; otherwise
+    Fail when the loci encircle -1 on net; otherwise Inconclusive (the
+    criterion is sufficient only, so its failure alone decides nothing).
     """
     grid = omega_grid(agents)
     loci = eigen_loci(g, agents, gain, grid)  # first: it rejects a G(jw) that overflows
     values, passed = critical_frequency_criterion(g, agents, gain)
     margins = disc_margin(g, agents, gain, grid)
-    if passed:
+    rooted = has_spanning_root(g)
+    if rooted and passed:
         verdict = Verdict.PASS
-    elif loci.jump > 0:
+    elif not rooted or loci.jump > 0:
         verdict = Verdict.FAIL
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -270,6 +273,7 @@ def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     return CertificateResult(
         criterion_values=values,
         criterion_pass=passed,
+        spanning_root=rooted,
         disc_margins=margins,
         loci=loci,
         verdict=verdict,

@@ -300,12 +300,6 @@ def classify(traj: Trajectory, converged_tol: float = CONVERGED_TOL) -> Classifi
     )
 
 
-def run_scenario(scenario: Scenario) -> tuple[Trajectory, Classification]:
-    """Simulate and classify."""
-    traj = simulate(scenario)
-    return traj, classify(traj)
-
-
 def with_uniform_delay(scenario: Scenario, delay: float) -> Scenario:
     """Copy of the scenario with every agent's delay replaced by ``delay``."""
     agents = tuple(replace(a, delay=snap_delay(delay, scenario.solver.step)) for a in scenario.agents)
@@ -362,7 +356,7 @@ def bisect_critical_delay(
     return 0.5 * (lo + hi)
 
 
-def write_trajectory_csv(traj: Trajectory, stream, stride: int = 10) -> None:
+def write_trajectory_csv(traj: Trajectory, stream, stride: int) -> None:
     """Write ``t,x1,...,xn`` rows at every ``stride``-th step (``stride >= 1``)."""
     n = traj.states.shape[0]
     stream.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")

@@ -20,6 +20,7 @@ from fracconsensus import (
     SolverParams,
     bisect_critical_delay,
     caputo_of_monomial,
+    classify,
     critical_frequency_criterion,
     degree_delay_bound,
     gl_caputo_estimate,
@@ -27,7 +28,6 @@ from fracconsensus import (
     has_spanning_root,
     laplacian,
     max_gain_for_delay,
-    run_scenario,
     simulate,
     spectral_delay_bound,
 )
@@ -84,7 +84,7 @@ def test_criterion_02_gain_readoff_value_and_speed():
 
 def test_criterion_03_convergence_below_bound():
     start = time.perf_counter()
-    _, result = run_scenario(demo_scenario(delay=0.6))
+    result = classify(simulate(demo_scenario(delay=0.6)))
     elapsed = time.perf_counter() - start
     ok = (
         result.verdict is ConvergenceVerdict.CONVERGED
@@ -96,11 +96,11 @@ def test_criterion_03_convergence_below_bound():
 
 def test_criterion_04_no_convergence_above_bound():
     start = time.perf_counter()
-    _, result_08 = run_scenario(demo_scenario(delay=0.8))
+    result_08 = classify(simulate(demo_scenario(delay=0.8)))
     elapsed = time.perf_counter() - start
     # Delay 0.7 sits between the analytic bound (0.727) and the observed
     # failure; run it and report the outcome without asserting either way.
-    _, result_07 = run_scenario(demo_scenario(delay=0.7))
+    result_07 = classify(simulate(demo_scenario(delay=0.7)))
     print(
         f"[criterion 04] note: delay 0.7 classified {result_07.verdict.value} "
         f"(spread {result_07.final_spread:.4f}); reported without assertion"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from fracconsensus import (
     AgentModel,
     Digraph,
     InapplicableBoundError,
+    Trajectory,
     bound_report,
+    caputo_of_monomial,
     degree_delay_bound,
     gain_delay_curve,
+    gl_caputo_estimate,
     max_gain_for_delay,
     mixed_order_delay_bound,
+    omega_grid,
     spectral_delay_bound,
 )
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
@@ -236,6 +241,7 @@ class TestMixedOrderBound:
             math.pi / 2.0 / 2e-300, 1.0)
 
 
+# One case per rejection that no other test reaches, from every module.
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -243,11 +249,20 @@ class TestMixedOrderBound:
          "spectral_delay_bound requires at least one edge"),
         (lambda: max_gain_for_delay(demo_graph(), 0.9, 0.0), "delay must be positive, got 0.0"),
         (lambda: mixed_order_delay_bound(demo_graph(), 1.0, ()), "need at least one order"),
+        (lambda: caputo_of_monomial(1.0, 1.5, 1.0), "order must lie in (0, 1], got 1.5"),
+        (lambda: caputo_of_monomial(1.0, 0.5, -1.0), "t must be >= 0, got -1.0"),
+        (lambda: gl_caputo_estimate([0.0, 1.0], 0.5, 0.0), "step must be positive, got 0.0"),
+        (lambda: omega_grid(points=1), "need at least 2 points, got 1"),
+        (lambda: Digraph(n=2.5, weights=np.zeros((2, 2))),
+         "node count must be an integer, got 2.5"),
+        (lambda: Trajectory(times=np.arange(3.0), states=np.zeros((2, 2))),
+         "states and times disagree on the number of samples"),
     ],
-    ids=["one_node_spectral", "nonpositive_delay", "no_orders"],
+    ids=["one_node_spectral", "nonpositive_delay", "no_orders", "caputo_order", "caputo_time",
+         "estimate_step", "one_grid_point", "fractional_node_count", "trajectory_samples"],
 )
 def test_rejection_names_its_cause(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -6,6 +6,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,19 @@ class TestSimulateCommand:
     def test_nonconverged_exit_one(self, tmp_path):
         config = write_scenario(tmp_path, pair_scenario(delay=0.9, step=1e-3, horizon=8.0))
         assert run_cli(["simulate", config, "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_diverged_line_names_the_time(self, tmp_path, capsys):
+        config = write_scenario(tmp_path, pair_scenario(delay=0.01, gain=1e6, horizon=2.0))
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        match = re.fullmatch(r"verdict: Diverged  final_spread: (\S+)  diverged_at: (\S+)\n",
+                             captured.err)
+        assert match, captured.err
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows))
+        assert rows[-1, 0] < float(match.group(2))
 
 
 class TestBoundCommand:
@@ -215,6 +229,23 @@ class TestCertifyCommand:
             "criterion passes, but the loci encircle -1 on net 1 time(s)",
         ]
         assert lines[-1] == "verdict: Pass"
+
+    @pytest.mark.parametrize("edges", [
+        [[1, 2, 1.0], [2, 1, 1.0], [3, 4, 1.0], [4, 3, 1.0]],  # two pairs, the criterion passes
+        [],
+    ], ids=["two_pairs", "no_edges"])
+    def test_no_spanning_root_fails(self, tmp_path, capsys, edges):
+        payload = json.loads(CONFIG.read_text())
+        for agent in payload["agents"]:
+            agent["delay"] = 0.2
+        payload.update(edges=edges, init=[1.0, 0.0, 0.8, 0.4])
+        path = tmp_path / "unrooted.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["certify", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "criterion pass: True" in lines
+        assert lines[-2:] == ["no spanning root: no agent's influence reaches every other agent",
+                              "verdict: Fail"]
 
     def test_eigenvalue_failure_names_frequency(self, capsys, monkeypatch):
         # Eigenproblems are solved only at the ends of runs of resolved grid
@@ -364,18 +395,27 @@ class TestHugeDelay:
 
 
 class TestEdgeOverflow:
-    """Edge weights whose row sums overflow exit 2 naming the edges, not the gain."""
+    """Edge weights whose row sums overflow exit 2 naming the edges, not the
+    gain; so do the delay bounds of a graph with no edges."""
 
     ARGS = {"simulate": ["--out", os.devnull], "critical": ["--tau-lo", "0.1", "--tau-hi", "2"]}
 
-    @pytest.mark.parametrize("command", ["bound", "certify", "curve", "simulate", "critical"])
-    @pytest.mark.parametrize("edges", [
-        [[2, 1, 1e308]],  # |L| row sum and 2*degree overflow
-        [[2, 1, 1e308], [2, 3, 1e308]],  # the degree itself overflows
+    @pytest.mark.parametrize("n, edges, command", [
+        pytest.param(4, edges, command, id=f"edges{i}-{command}")
+        for i, edges in enumerate([
+            [[2, 1, 1e308]],  # |L| row sum and 2*degree overflow
+            [[2, 1, 1e308], [2, 3, 1e308]],  # the degree itself overflows
+        ])
+        for command in ["bound", "certify", "curve", "simulate", "critical"]
+    ] + [
+        # No edges at all (None): the delay bounds are undefined.
+        pytest.param(n, None, command, id=f"no_edges_n{n}-{command}")
+        for n in (4, 1) for command in ["bound", "curve"]
     ])
-    def test_stderr_is_the_error_line_only(self, tmp_path, command, edges):
+    def test_stderr_is_the_error_line_only(self, tmp_path, n, edges, command):
         payload = json.loads(CONFIG.read_text())
-        payload["edges"] = edges + payload["edges"][1:]
+        edges = [] if edges is None else edges + payload["edges"][1:]
+        payload.update(n=n, edges=edges, agents=payload["agents"][:n], init=payload["init"][:n])
         path = tmp_path / "huge_edge.json"
         path.write_text(json.dumps(payload))
         result = TestModuleEntryPoint.run_module(command, str(path), *self.ARGS.get(command, []))

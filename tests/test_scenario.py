@@ -24,7 +24,6 @@ from fracconsensus import (
     bisect_critical_delay,
     classify,
     parse_scenario,
-    run_scenario,
     save_scenario,
     scenario_to_dict,
     simulate,
@@ -340,12 +339,12 @@ class TestClassify:
         assert result.consensus_value == pytest.approx(0.5)
 
     def test_demo_delay_06_converges(self):
-        _, result = run_scenario(demo_scenario(delay=0.6))
+        result = classify(simulate(demo_scenario(delay=0.6)))
         assert result.verdict is ConvergenceVerdict.CONVERGED
         assert result.final_spread < 1e-2
 
     def test_demo_delay_08_does_not_converge(self):
-        _, result = run_scenario(demo_scenario(delay=0.8))
+        result = classify(simulate(demo_scenario(delay=0.8)))
         assert result.verdict is ConvergenceVerdict.NOT_CONVERGED
 
     def test_appending_constant_tail_keeps_converged(self):
@@ -403,7 +402,7 @@ class TestClassify:
                 initial=initial,
                 solver=SolverParams(step=1e-2, horizon=25.0),
             )
-            _, result = run_scenario(scen)
+            result = classify(simulate(scen))
             if result.verdict is not ConvergenceVerdict.CONVERGED:
                 continue
             assert min(initial) - 1e-9 <= result.consensus_value <= max(initial) + 1e-9
