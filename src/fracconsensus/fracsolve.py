@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -157,6 +158,7 @@ def integral_weights(order: float, count: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], (j - 1.0 + order) / j)))
 
 
+@lru_cache(maxsize=None)
 def _fft_size(n: int) -> int:
     """Smallest ``2**a * 3**b * 5**c`` that is at least ``n``."""
     best = 1 << (n - 1).bit_length()
@@ -175,8 +177,10 @@ def _fft_size(n: int) -> int:
 
 # History products over at most this many sources run as dense Toeplitz
 # matrix products, and blocks shorter than this are grouped into panels of up
-# to this many steps; longer products run through the FFT.
+# to this many steps; longer products run through the FFT, except in-panel
+# ones of up to NEAR_MAX sources, whose FFT rounding grows over a long run.
 DIRECT_MAX = 48
+NEAR_MAX = 128
 # An FFT product of transform size ``size`` transforms ``max(1, FFT_BATCH //
 # size)`` agents' rows at once, which bounds the memory of the widest levels.
 FFT_BATCH = 2**15
@@ -190,16 +194,17 @@ class _HistorySum:
     ``width`` is the number of sources of a full product: ``off < width``
     gives the in-panel (near-field) products, ``off = width`` the far-field
     product of the dyadic scheme. The weights are one row per distinct
-    order, and ``rank[i]`` is agent ``i``'s row. Short products use one
-    cached Toeplitz matrix of ``2 * width`` rows per width; long ones use
-    weight transforms and transform up to ``FFT_BATCH // size`` agents' rows
-    together. The weight transforms are cached per ``(off, width)`` when
-    ``5 * width`` is below the step count, which holds exactly when a
-    far-field product recurs at least three times; otherwise only the
-    orders of the rows at hand are transformed. Each row is scaled by its
-    own power of two first, so no transform overflows before the sum it
-    computes does. ``add`` is the only evaluator of the sum, also when
-    ``simulate`` redoes a panel.
+    order, and ``rank[i]`` is agent ``i``'s row. Short products, and
+    in-panel ones of up to ``NEAR_MAX`` sources, use one cached ``toeplitz``
+    matrix per width; long ones use weight transforms and transform up to
+    ``FFT_BATCH // size`` agents' rows together. The weight transforms are
+    cached per ``(off, width)`` when ``5 * width`` is below the step count,
+    which holds exactly when a far-field product recurs at least three
+    times; otherwise each batch transforms its own rows' weights. Each row
+    is scaled by its own power of two first, so no transform overflows
+    before the sum it computes does. ``simulate`` multiplies by views of
+    ``toeplitz`` for its direct in-panel products; ``add`` evaluates all
+    others, also when ``simulate`` redoes a panel.
     """
 
     def __init__(self, orders, count: int):
@@ -207,18 +212,23 @@ class _HistorySum:
         distinct = list(dict.fromkeys(orders))
         self.rank = np.array([distinct.index(order) for order in orders])
         self.weights = np.stack([integral_weights(order, count) for order in distinct])
-        self.toeplitz = {}
+        self.toeplitzes = {}
         self.spectra = {}
+
+    def toeplitz(self, width: int) -> np.ndarray:
+        """``mat[i, r, m] = b[i, r - m]``, ``2 * width`` rows by ``width``."""
+        mat = self.toeplitzes.get(width)
+        if mat is None:
+            idx = np.arange(2 * width)[:, None] - np.arange(width)
+            mats = np.where(idx < 0, 0.0, self.weights.take(idx, axis=1, mode="clip"))
+            mat = self.toeplitzes[width] = mats[self.rank]
+        return mat
 
     def add(self, out: np.ndarray, off: int, width: int, src: np.ndarray):
         rows = out.shape[1]
-        if width <= DIRECT_MAX:
-            mat = self.toeplitz.get(width)
-            if mat is None:
-                idx = np.arange(2 * width)[:, None] - np.arange(width)
-                mats = np.where(idx < 0, 0.0, self.weights.take(idx, axis=1, mode="clip"))
-                mat = self.toeplitz[width] = mats[self.rank]
-            out += np.matmul(mat[:, off : off + rows, : src.shape[1]], src[:, :, None])[:, :, 0]
+        if width <= DIRECT_MAX or off < width <= NEAR_MAX:
+            mat = self.toeplitz(width)[:, off : off + rows, : src.shape[1]]
+            out += np.matmul(mat, src[:, :, None])[:, :, 0]
             return
         size = _fft_size(2 * width)
         lo = max(off - width + 1, 0)
@@ -231,11 +241,9 @@ class _HistorySum:
             part = src[i : i + batch]
             scale = np.frexp(np.maximum(part.max(axis=1), -part.min(axis=1)))[1][:, None]
             spec = np.fft.rfft(np.ldexp(part, -scale), size)
-            rank = self.rank[i : i + batch]
             # Each row takes the weight transform of its own order.
-            for r in set(rank.tolist()):
-                kernel = np.fft.rfft(weights[r], size) if spectra is None else spectra[r]
-                np.multiply(spec, kernel, out=spec, where=(rank == r)[:, None])
+            rank = self.rank[i : i + batch]
+            spec *= np.fft.rfft(weights[rank], size) if spectra is None else spectra[rank]
             out[i : i + batch] += np.ldexp(
                 np.fft.irfft(spec, size)[:, off - lo : off - lo + rows], scale
             )
@@ -260,7 +268,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
     formed at once from known states. Short blocks are grouped into
     panels of up to ``DIRECT_MAX`` steps, and each block adds its sums over
     the current panel with one Toeplitz product (an FFT product for a block
-    longer than ``DIRECT_MAX``). The sums over earlier panels come from a
+    longer than ``NEAR_MAX``). The sums over earlier panels come from a
     dyadic online convolution (Hairer, Lubich and Schlichte, 1985): at
     panel boundary ``p``, with ``L = p & -p``, the inputs of panels
     ``[p-L, p)`` are convolved with the weights and added to the states of
@@ -309,9 +317,18 @@ def simulate(scenario: "Scenario") -> Trajectory:
     # dyadic scheme runs over panels.
     span = max(1, DIRECT_MAX // block) * block
     panels = -(-steps // span)
-    # cols[i, t] + start: the column agent i reads at step start + t.
-    cols = base[:, None] + np.arange(block)
+    # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
+    # start + t; own[i] = other[i, i].
+    flat = states.reshape(-1)
+    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(block)
+    own = other[range(n), range(n)]
     coupling = w.T[:, :, None]
+    states3, inputs3 = states[:, :, None], inputs[:, :, None]
+    # near[b]: the weights of the in-panel product of a panel's block b,
+    # when it is direct (none for longer blocks, which use ``history.add``).
+    near = [] if span > NEAR_MAX else [
+        history.toeplitz(span)[:, off : off + block, : off + block] for off in range(0, span, block)
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(panels):
             first = p * span
@@ -326,22 +343,31 @@ def simulate(scenario: "Scenario") -> Trajectory:
             # checked once per panel; a redo starts again from ``saved``.
             target = states[:, pad + first + 1 : pad + last + 1]
             saved = target.copy()
-            for start in range(first, last, block):
-                stop = min(start + block, steps)
-                # lagged[j, i, t] = x_j(t_{start+t} - tau_i): one gather per block.
-                lagged = states.take(cols[:, : stop - start] + start, axis=1)
-                # Differences first: identical states give exactly zero input.
-                u = -gain * (coupling * (lagged.diagonal().T - lagged)).sum(axis=0)
-                inputs[:, start:stop] = step_pow * u
-                history.add(
-                    target[:, start - first : stop - first], start - first, span,
-                    inputs[:, first:stop],
-                )
+            for b, start in enumerate(range(first, last, block)):
+                stop = start + block
+                if stop > steps:
+                    # The run's last block is short; nothing follows it.
+                    stop, m = steps, steps - start
+                    other, own = other[:, :, :m], own[:, :m]
+                    near = [v[:, :m, : v.shape[2] - block + m] for v in near]
+                # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
+                # first: identical states give exactly zero input.
+                lagged = flat[start:].take(other)
+                np.subtract(flat[start:].take(own), lagged, out=lagged)
+                np.multiply(coupling, lagged, out=lagged)
+                u = -gain * np.add.reduce(lagged, axis=0)
+                np.multiply(step_pow, u, out=inputs[:, start:stop])
+                if near:
+                    into = states3[:, pad + start + 1 : pad + stop + 1]
+                    np.add(into, np.matmul(near[b], inputs3[:, first:stop]), out=into)
+                else:
+                    history.add(target[:, start - first : stop - first], start - first, span,
+                                inputs[:, first:stop])
             if np.isfinite(target).all():
                 continue
-            # A non-finite input poisons earlier rows (0 * inf in the masked
-            # product, and the FFT), so the panel is redone from the inputs
-            # before it; its own row is non-finite (b_0 = 1).
+            # A non-finite input poisons earlier rows (0 * inf against the
+            # Toeplitz zeros, and the FFT), so the panel is redone from the
+            # inputs before it; its own row is non-finite (b_0 = 1).
             target[...] = saved
             bad = np.append(np.isfinite(inputs[:, first:last]).all(axis=0), False).argmin()
             if bad:

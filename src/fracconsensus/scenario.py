@@ -360,9 +360,12 @@ def write_trajectory_csv(traj: Trajectory, stream, stride: int) -> None:
     """Write ``t,x1,...,xn`` rows at every ``stride``-th step (``stride >= 1``)."""
     n = traj.states.shape[0]
     stream.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-    for k in range(0, traj.times.size, stride):
-        row = [f"{traj.times[k]:.10g}"] + [f"{traj.states[i, k]:.10g}" for i in range(n)]
-        stream.write(",".join(row) + "\n")
+    row = ",".join(["%.10g"] * (n + 1)) + "\n"
+    # 32 rows at a time bound the memory that formatting a long run takes.
+    for first in range(0, traj.times.size, 32 * stride):
+        ks = slice(first, first + 32 * stride, stride)
+        chunk = np.vstack([traj.times[ks], traj.states[:, ks]]).T.tolist()
+        stream.write("".join([row % tuple(values) for values in chunk]))
 
 
 def write_curve_csv(pairs, stream) -> None:

@@ -32,6 +32,7 @@ from reference_loci import diagonal_scaling
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MIXED_K4 = GOLDEN / "symmetric_mixed_4agent.json"  # unit-weight K4, orders 1, 1, 0.5, 0.5
+MIXED_LAGS = GOLDEN / "mixed_lags_8agent.json"  # 8 agents, 4 fractional, lags 2-541 steps
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -169,7 +170,8 @@ class TestGoldenOutput:
 
     # simulate's default stdout is the trajectory CSV; its verdict goes to
     # stderr. symmetric_mixed_4agent is left out: it does not converge, and
-    # simulate exits 1 on it.
+    # simulate exits 1 on it. mixed_lags_8agent is shaped like the benchmark's
+    # simulate jobs: 3-step blocks in 48-step panels, lags up to 541 steps.
     @pytest.mark.parametrize(
         "config, verdict",
         [
@@ -178,8 +180,12 @@ class TestGoldenOutput:
                 GOLDEN / "symmetric_integer_4agent.json",
                 "verdict: Converged  final_spread: 5.25562e-09  consensus_value: 0.6\n",
             ),
+            (
+                MIXED_LAGS,
+                "verdict: Converged  final_spread: 0.00654387  consensus_value: 0.288635\n",
+            ),
         ],
-        ids=["mixed_order_4agent", "symmetric_integer_4agent"],
+        ids=["mixed_order_4agent", "symmetric_integer_4agent", "mixed_lags_8agent"],
     )
     def test_simulate_output(self, capsys, config, verdict):
         assert run_cli(["simulate", str(config)]) == 0
@@ -188,9 +194,14 @@ class TestGoldenOutput:
         assert captured.err == verdict
 
     # --out writes the same bytes the command prints by default.
-    @pytest.mark.parametrize("command", ["curve", "simulate"])
     @pytest.mark.parametrize(
-        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json"], ids=lambda p: p.stem,
+        "config, command",
+        [
+            (config, command)
+            for config in (CONFIG, GOLDEN / "symmetric_integer_4agent.json")
+            for command in ("curve", "simulate")
+        ] + [(MIXED_LAGS, "simulate")],
+        ids=lambda value: getattr(value, "stem", value),
     )
     def test_out_file(self, tmp_path, capsys, config, command):
         out = tmp_path / f"{command}.csv"

@@ -18,7 +18,9 @@ from fracconsensus import (
     gl_coefficients,
     simulate,
 )
-from fracconsensus.fracsolve import DIRECT_MAX, FFT_BATCH, _HistorySum, _fft_size, integral_weights
+from fracconsensus.fracsolve import (
+    DIRECT_MAX, FFT_BATCH, NEAR_MAX, _HistorySum, _fft_size, integral_weights,
+)
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
 
@@ -125,6 +127,42 @@ class TestHistorySum:
             expected = np.ldexp(product[off : off + width], scale)
             assert np.all(np.isfinite(expected))
             assert np.max(np.abs(out[i] - expected)) <= 1e-11 * np.max(np.abs(src[i]))
+
+    @pytest.mark.parametrize(
+        "off, width", [(64, 64), (0, 4096), (4096, 4096), (0, 16384), (16384, 16384)]
+    )
+    def test_cached_and_uncached_transforms_agree(self, off, width):
+        # FFT products only. Mixed orders, repeated ones among them, share a
+        # batch; from width 16384 on each batch is one row.
+        orders = [1.0, 0.6, 0.85, 0.6, 1.0]
+        assert width > (NEAR_MAX if off < width else DIRECT_MAX)
+        src = np.random.default_rng(width + off).uniform(-1.0, 1.0, (len(orders), width))
+        outs = []
+        # Below 5 * width steps the weight transforms are made per batch.
+        for count in (2 * width, 5 * width + 1):
+            history = _HistorySum(orders, count)
+            out = np.ones((len(orders), width))
+            history.add(out, off, width, src)
+            assert bool(history.spectra) == (count > 5 * width)
+            outs.append(out)
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+    @pytest.mark.parametrize("block, span", [(1, 48), (3, 48), (5, 45), (61, 61), (128, 128)])
+    def test_near_field_views_match_add(self, block, span):
+        # simulate's view of the Toeplitz cache for block position off, and
+        # the view it cuts from that for a short last block of ``rows``.
+        orders = [1.0, 0.7, 0.9, 0.7]
+        history = _HistorySum(orders, 4 * span)
+        src = np.random.default_rng(block).uniform(-1.0, 1.0, (len(orders), span))
+        for off in range(0, span, block):
+            view = history.toeplitz(span)[:, off : off + block, : off + block]
+            for rows in sorted({1, (block + 1) // 2, block}):
+                expected = np.ones((len(orders), rows))
+                history.add(expected, off, span, src[:, : off + rows])
+                out = np.ones((len(orders), rows))[:, :, None]
+                cut = view[:, :rows, : view.shape[2] - block + rows]
+                np.add(out, np.matmul(cut, src[:, : off + rows, None]), out=out)
+                assert out[:, :, 0].tobytes() == expected.tobytes()
 
 
 class TestCaputoOfMonomial:
@@ -458,9 +496,9 @@ class TestReferenceEquivalence:
             # threshold for many steps before the first state overflows.
             (fractional_pair(3, 316.0, horizon=3.0), True),
             (pair_scenario(delay=0.009, gain=271.0, horizon=10.0), True),
-            # Lag 60: 61-step blocks, so the in-block products run through
-            # the FFT; the first non-finite state is the 17th of its block.
-            # Its states are compared in test_integer_fft_block_states.
+            # Lag 60: 61-step blocks, whose in-block products are direct; the
+            # first non-finite state is the 17th of its block. Its states are
+            # compared in test_integer_fft_block_states.
             (pair_scenario(delay=0.06, gain=1e4, horizon=20.0), False),
             (fractional_pair(80, 1e5, horizon=20.0), True),
             # The very first input overflows: nothing precedes it to redo.
@@ -479,12 +517,10 @@ class TestReferenceEquivalence:
         if states_match:
             assert max_relative_difference(traj, ref) <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="1.16e-12 measured: rounding in the 61-step in-block FFT products "
-        "grows over the run (8.0e-16 with direct products)",
-    )
     def test_integer_fft_block_states(self):
+        # 61-step blocks: the in-block products are direct (up to NEAR_MAX
+        # sources). Through the FFT their rounding grew to 1.16e-12 relative
+        # over this run; direct products give 9.2e-16.
         scenario = pair_scenario(delay=0.06, gain=1e4, horizon=20.0)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -510,6 +546,20 @@ class TestReferenceEquivalence:
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape == (2, first_bad)
+        assert np.all(np.isfinite(traj.states))
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_divergence_redone_over_the_widest_direct_block(self):
+        # Lag 127: 128-step blocks, the longest whose in-block products are
+        # direct; the first non-finite state is the 64th of its block, and
+        # the redo takes add's direct branch at width 128.
+        scenario = fractional_pair(127, 1e4, horizon=20.0)
+        assert block_layout(scenario)[1:] == (NEAR_MAX, NEAR_MAX)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert ref.diverged_at is not None
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert (traj.states.shape[1] - 1) % NEAR_MAX == 63
         assert np.all(np.isfinite(traj.states))
         assert max_relative_difference(traj, ref) <= 1e-12
 

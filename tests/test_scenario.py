@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -459,3 +460,38 @@ class TestBisection:
                 bisect_critical_delay(template, 1.45, 1.75, 0.015, converged_tol=0.08)
             )
         assert abs(taus[0] - taus[1]) < 0.015
+
+
+def per_row_csv(traj, stream, stride):
+    """The per-row f-string writer that ``write_trajectory_csv`` replaced:
+    the oracle of its bytes."""
+    n = traj.states.shape[0]
+    stream.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
+    for k in range(0, traj.times.size, stride):
+        row = [f"{traj.times[k]:.10g}"] + [f"{traj.states[i, k]:.10g}" for i in range(n)]
+        stream.write(",".join(row) + "\n")
+
+
+class TestTrajectoryCsv:
+    # Rows around the 32-row chunk and a long run, strides that do and do
+    # not divide them, one agent and eight.
+    @pytest.mark.parametrize("rows", [31, 32, 33, 3001])
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_matches_per_row_writer(self, rows, stride, n):
+        rng = np.random.default_rng(1000 * rows + 10 * stride + n)
+        states = rng.standard_normal((n, rows)) * 10.0 ** rng.integers(-20, 20, (n, rows))
+        # Signed zero, the smallest subnormal, a huge value and one that
+        # needs all ten digits, each on a written row of every agent.
+        special = np.array([-0.0, 5e-324, 1e300, 123456789.0123])
+        for i in range(n):
+            states[i, : 4 * stride : stride] = np.roll(special, i)
+        traj = Trajectory(times=np.arange(rows) * 1e-3, states=states)
+        chunked, oracle = io.StringIO(), io.StringIO()
+        fracconsensus.scenario.write_trajectory_csv(traj, chunked, stride)
+        per_row_csv(traj, oracle, stride)
+        # Line by line: a failure then reports one row, not a diff of the file.
+        got, want = chunked.getvalue().split("\n"), oracle.getvalue().split("\n")
+        assert len(got) == len(want) == 2 + -(-rows // stride)
+        for line, expected in zip(got, want):
+            assert line == expected
