@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fracsolve import _check_order
 from .graph import Digraph, degree_vector, has_spanning_root, is_symmetric, laplacian, spectrum
 
 
@@ -36,11 +37,6 @@ class BoundTooLargeError(OverflowError):
 def _check_gain(gain: float) -> None:
     if not (math.isfinite(gain) and gain > 0.0):
         raise ValueError(f"gain must be positive, got {gain}")
-
-
-def _check_order(order: float) -> None:
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {order}")
 
 
 def _root_bound(gain: float, scale: float, order: float) -> float:

@@ -33,6 +33,11 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 
+def _check_order(order: float, prefix: str = "") -> None:
+    if not 0.0 < order <= 1.0:
+        raise ValueError(f"{prefix}order must lie in (0, 1], got {order}")
+
+
 @dataclass(frozen=True)
 class AgentModel:
     """One agent: 1-based id, derivative order in (0, 1], delay in seconds.
@@ -48,8 +53,7 @@ class AgentModel:
     def __post_init__(self):
         if not isinstance(self.id, int) or self.id < 1:
             raise ValueError(f"agent id must be a positive integer, got {self.id!r}")
-        if not 0.0 < self.order <= 1.0:
-            raise ValueError(f"agent {self.id}: order must lie in (0, 1], got {self.order}")
+        _check_order(self.order, f"agent {self.id}: ")
         if not (math.isfinite(self.delay) and self.delay >= 0.0):
             raise ValueError(f"agent {self.id}: delay must be finite and >= 0, got {self.delay}")
 
@@ -97,8 +101,7 @@ def gl_coefficients(order: float, count: int) -> np.ndarray:
 
     Computed with the stable recurrence ``c_j = c_{j-1} * (1 - (order+1)/j)``.
     """
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {order}")
+    _check_order(order)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     coeffs = np.empty(count + 1)
@@ -120,8 +123,7 @@ def caputo_of_monomial(power: float, order: float, t: float) -> float:
     """
     if power < 1.0:
         raise ValueError(f"power must be >= 1, got {power}")
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"order must lie in (0, 1], got {order}")
+    _check_order(order)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     scale = math.gamma(power + 1.0) / math.gamma(power + 1.0 - order)

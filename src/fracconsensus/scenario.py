@@ -24,6 +24,7 @@ import math
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +42,7 @@ MONOTONE_SLACK = 1e-3
 
 
 class ScenarioFormatError(ValueError):
-    """A scenario file is malformed; the message names the offending key."""
+    """A scenario file or ``Scenario`` is malformed; the message names the offending key."""
 
 
 class BisectionBracketError(ValueError):
@@ -69,16 +70,18 @@ class Scenario:
         object.__setattr__(self, "agents", agents)
         n = self.graph.n
         if [a.id for a in agents] != list(range(1, n + 1)):
-            raise ValueError(
+            raise ScenarioFormatError(
                 f"key 'agents' is invalid: agent ids must be exactly 1..{n}, each once"
             )
         if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError(f"key 'gain' is invalid: gain must be positive, got {self.gain}")
+            raise ScenarioFormatError(
+                f"key 'gain' is invalid: gain must be positive, got {self.gain}")
         initial = tuple(float(v) for v in self.initial)
         if len(initial) != n:
-            raise ValueError(f"key 'init' is invalid: need {n} initial states, got {len(initial)}")
+            raise ScenarioFormatError(
+                f"key 'init' is invalid: need {n} initial states, got {len(initial)}")
         if not all(math.isfinite(v) for v in initial):
-            raise ValueError("key 'init' is invalid: initial states must be finite")
+            raise ScenarioFormatError("key 'init' is invalid: initial states must be finite")
         object.__setattr__(self, "initial", initial)
 
 
@@ -122,6 +125,12 @@ def _as_number(value, key):
     return float(value)
 
 
+def _as(value, kind, key, what):
+    if not isinstance(value, kind):
+        raise ScenarioFormatError(f"key '{key}' must be {what}")
+    return value
+
+
 def _as_int(value, key):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioFormatError(f"key '{key}' must be an integer, got {value!r}")
@@ -132,6 +141,15 @@ def _check_keys(mapping, allowed, context):
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ScenarioFormatError(f"unknown key '{unknown[0]}' in {context}")
+
+
+@contextmanager
+def _naming(key, error=ValueError):
+    """Re-raise ``error`` from the block as a ``ScenarioFormatError`` naming ``key``."""
+    try:
+        yield
+    except error as exc:
+        raise ScenarioFormatError(f"key '{key}' is invalid: {exc}") from exc
 
 
 def parse_scenario(path) -> Scenario:
@@ -150,73 +168,48 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioFormatError(f"key 'n' must be >= 1, got {n}")
 
     edges_raw = _require(raw, "edges", "scenario")
-    if not isinstance(edges_raw, list):
-        raise ScenarioFormatError("key 'edges' must be a list of [i, k, w] triples")
     edges = []
-    for idx, entry in enumerate(edges_raw):
+    for idx, entry in enumerate(_as(edges_raw, list, "edges", "a list of [i, k, w] triples")):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ScenarioFormatError(f"key 'edges[{idx}]' must be a [i, k, w] triple")
         i = _as_int(entry[0], f"edges[{idx}][0]")
         k = _as_int(entry[1], f"edges[{idx}][1]")
         weight = _as_number(entry[2], f"edges[{idx}][2]")
         edges.append((i, k, weight))
-    try:
+    with _naming("n", MemoryError), _naming("edges"):
         graph = Digraph.from_edges(n, edges)
-    except MemoryError as exc:
-        raise ScenarioFormatError(f"key 'n' is invalid: {exc}") from exc
-    except ValueError as exc:
-        raise ScenarioFormatError(f"key 'edges' is invalid: {exc}") from exc
 
-    solver_raw = _require(raw, "solver", "scenario")
-    if not isinstance(solver_raw, dict):
-        raise ScenarioFormatError("key 'solver' must be an object")
+    solver_raw = _as(_require(raw, "solver", "scenario"), dict, "solver", "an object")
     _check_keys(solver_raw, {"h", "horizon", "memory"}, "solver")
     step = _as_number(_require(solver_raw, "h", "solver"), "solver.h")
     horizon = _as_number(_require(solver_raw, "horizon", "solver"), "solver.horizon")
     memory = solver_raw.get("memory", "full")
     if memory != "full":
         raise ScenarioFormatError(f"key 'solver.memory' must be \"full\", got {memory!r}")
-    try:
+    with _naming("solver"):
         solver = SolverParams(step=step, horizon=horizon)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"key 'solver' is invalid: {exc}") from exc
 
-    agents_raw = _require(raw, "agents", "scenario")
-    if not isinstance(agents_raw, list):
-        raise ScenarioFormatError("key 'agents' must be a list")
     agents = []
-    for idx, entry in enumerate(agents_raw):
+    for idx, entry in enumerate(_as(_require(raw, "agents", "scenario"), list, "agents", "a list")):
         context = f"agents[{idx}]"
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"key '{context}' must be an object")
-        _check_keys(entry, {"id", "order", "delay"}, context)
+        _check_keys(_as(entry, dict, context, "an object"), {"id", "order", "delay"}, context)
         agent_id = _as_int(_require(entry, "id", context), f"{context}.id")
         order = _as_number(_require(entry, "order", context), f"{context}.order")
         delay = _as_number(_require(entry, "delay", context), f"{context}.delay")
-        try:
+        with _naming(f"{context}.delay"):
             snapped = snap_delay(delay, solver.step)
-        except ValueError as exc:
-            raise ScenarioFormatError(f"key '{context}.delay' is invalid: {exc}") from exc
         if abs(snapped - delay) > DELAY_SNAP_WARN:
             warnings.warn(
                 f"agent {agent_id}: delay {delay!r} is off the step grid, using {snapped!r}",
                 stacklevel=2,
             )
-        try:
+        with _naming(context):
             agents.append(AgentModel(id=agent_id, order=order, delay=snapped))
-        except ValueError as exc:
-            raise ScenarioFormatError(f"key '{context}' is invalid: {exc}") from exc
 
     gain = _as_number(_require(raw, "gain", "scenario"), "gain")
-    init_raw = _require(raw, "init", "scenario")
-    if not isinstance(init_raw, list):
-        raise ScenarioFormatError("key 'init' must be a list of numbers")
+    init_raw = _as(_require(raw, "init", "scenario"), list, "init", "a list of numbers")
     initial = tuple(_as_number(v, f"init[{idx}]") for idx, v in enumerate(init_raw))
-
-    try:
-        return Scenario(graph=graph, agents=tuple(agents), gain=gain, initial=initial, solver=solver)
-    except ValueError as exc:
-        raise ScenarioFormatError(str(exc)) from exc
+    return Scenario(graph=graph, agents=tuple(agents), gain=gain, initial=initial, solver=solver)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -300,12 +293,6 @@ def classify(traj: Trajectory, converged_tol: float = CONVERGED_TOL) -> Classifi
     )
 
 
-def with_uniform_delay(scenario: Scenario, delay: float) -> Scenario:
-    """Copy of the scenario with every agent's delay replaced by ``delay``."""
-    agents = tuple(replace(a, delay=snap_delay(delay, scenario.solver.step)) for a in scenario.agents)
-    return replace(scenario, agents=agents)
-
-
 def bisect_critical_delay(
     template: Scenario,
     tau_lo: float,
@@ -335,7 +322,9 @@ def bisect_critical_delay(
             raise ValueError(f"{name} is invalid: {exc}") from exc
 
     def verdict_at(tau):
-        traj = simulate(with_uniform_delay(template, tau))
+        delay = snap_delay(tau, template.solver.step)
+        agents = tuple(replace(a, delay=delay) for a in template.agents)
+        traj = simulate(replace(template, agents=agents))
         return classify(traj, converged_tol).verdict
 
     lo_verdict = verdict_at(tau_lo)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import binom
 
 from fracconsensus import (
@@ -350,6 +352,34 @@ class TestSimulate:
         far = simulate(demo_scenario(delay=1e300, horizon=0.5))
         near = simulate(demo_scenario(delay=0.6, horizon=0.5))
         assert np.array_equal(far.states, near.states)
+
+
+def mittag_leffler_of_negative(order, x):
+    """``E_order(-x)`` for ``0 < order < 1`` and ``x > 0``, from its completely
+    monotone integral representation."""
+    cos, scale = math.cos(order * math.pi), x ** (1.0 / order)
+
+    def density(r):
+        denominator = r ** (2 * order) + 2 * r ** order * cos + 1
+        return r ** (order - 1.0) * math.exp(-r * scale) / denominator
+
+    return math.sin(order * math.pi) / math.pi * quad(density, 0.0, math.inf)[0]
+
+
+@pytest.mark.parametrize("order, constant", [(0.5, 0.0819), (0.9, 0.1666)])
+def test_fractional_follower_error_is_first_order(order, constant):
+    # With zero delay the follower solves D^a x2 = gain * (1 - x2) from
+    # x2(0) = 0, so x2(t) = 1 - E_a(-gain * t**a); here gain = 1 and t = 1.
+    exact = 1.0 - mittag_leffler_of_negative(order, 1.0)
+    steps = (0.01, 0.005, 0.0025)
+    errors = []
+    for h in steps:
+        traj = simulate(leader_follower_scenario(order=order, horizon=20.0, step=h))
+        errors.append(traj.states[1, round(1.0 / h)] - exact)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.9 <= coarse / fine <= 2.1
+    for h, error in zip(steps, errors):
+        assert error / h == pytest.approx(constant, rel=0.05)
 
 
 def max_relative_difference(traj, ref):

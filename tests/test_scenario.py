@@ -293,6 +293,118 @@ def test_malformed_scenarios_name_their_key(tmp_path, capsys, case):
     assert err.startswith("error: ")
 
 
+def _config_with(mutate):
+    payload = json.loads(CONFIG.read_text())
+    mutate(payload)
+    return json.dumps(payload)
+
+
+def _numpy_refusal(n):
+    """numpy's own words for an ``n`` x ``n`` array past its size limit."""
+    try:
+        np.zeros((n, n))
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"numpy allocated a {n} x {n} array")
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+# One file per loader message template and the exact message it must raise;
+# "{path}" stands for the file's path.
+EXACT_MESSAGES = {
+    "missing_key": (_config_with(lambda p: p.pop("gain")), "missing key 'gain' in scenario"),
+    "missing_agent_key": (
+        _config_with(lambda p: p["agents"][1].pop("order")), "missing key 'order' in agents[1]"),
+    "unknown_key": (_config_with(lambda p: p.update(extra=1)), "unknown key 'extra' in scenario"),
+    "unknown_solver_key": (
+        _config_with(lambda p: p["solver"].update(tol=1)), "unknown key 'tol' in solver"),
+    "not_a_number": (
+        _config_with(lambda p: p.update(gain="1")), "key 'gain' must be a number, got '1'"),
+    "not_an_integer": (
+        _config_with(lambda p: p["edges"][2].__setitem__(1, 1.0)),
+        "key 'edges[2][1]' must be an integer, got 1.0"),
+    "invalid_json": ("{not json", "invalid JSON in {path}: " + _json_error("{not json")),
+    "not_an_object": ("[1, 2]", "scenario file must hold a JSON object"),
+    "n_below_one": (_config_with(lambda p: p.update(n=0)), "key 'n' must be >= 1, got 0"),
+    "n_unallocatable": (
+        _config_with(lambda p: p.update(n=10**10)),
+        f"key 'n' is invalid: cannot allocate a {10**10} x {10**10} weight matrix "
+        f"({_numpy_refusal(10**10)})"),
+    "edges_not_a_list": (
+        _config_with(lambda p: p.update(edges={})),
+        "key 'edges' must be a list of [i, k, w] triples"),
+    "edge_not_a_triple": (
+        _config_with(lambda p: p["edges"].__setitem__(3, [1, 4])),
+        "key 'edges[3]' must be a [i, k, w] triple"),
+    "duplicate_edge": (
+        _config_with(lambda p: p["edges"].append([2, 1, 0.1])),
+        "key 'edges' is invalid: edge (2, 1) is listed more than once"),
+    "edge_out_of_range": (
+        _config_with(lambda p: p["edges"].append([5, 1, 0.1])),
+        "key 'edges' is invalid: edge (5, 1) out of range for n=4"),
+    "negative_weight": (
+        _config_with(lambda p: p["edges"][0].__setitem__(2, -0.5)),
+        "key 'edges' is invalid: weights must be nonnegative"),
+    "solver_not_an_object": (
+        _config_with(lambda p: p.update(solver=[1])), "key 'solver' must be an object"),
+    "memory_not_full": (
+        _config_with(lambda p: p["solver"].update(memory="short")),
+        "key 'solver.memory' must be \"full\", got 'short'"),
+    "bad_solver": (
+        _config_with(lambda p: p["solver"].update(h=-0.001)),
+        "key 'solver' is invalid: step must be positive, got -0.001"),
+    "agents_not_a_list": (
+        _config_with(lambda p: p.update(agents=3)), "key 'agents' must be a list"),
+    "agent_not_an_object": (
+        _config_with(lambda p: p["agents"].__setitem__(0, [1])),
+        "key 'agents[0]' must be an object"),
+    "bad_delay": (
+        _config_with(lambda p: p["agents"][0].update(delay=1e308)),
+        "key 'agents[0].delay' is invalid: "
+        "delay 1e+308 is not a finite multiple of the step 0.001"),
+    "bad_order": (
+        _config_with(lambda p: p["agents"][2].update(order=1.7)),
+        "key 'agents[2]' is invalid: agent 3: order must lie in (0, 1], got 1.7"),
+    "bad_agent_id": (
+        _config_with(lambda p: p["agents"][1].update(id=0)),
+        "key 'agents[1]' is invalid: agent id must be a positive integer, got 0"),
+    "init_not_a_list": (
+        _config_with(lambda p: p.update(init=1.0)), "key 'init' must be a list of numbers"),
+    "agent_ids": (
+        _config_with(lambda p: p["agents"][3].update(id=7)),
+        "key 'agents' is invalid: agent ids must be exactly 1..4, each once"),
+    "gain": (
+        _config_with(lambda p: p.update(gain=0.0)),
+        "key 'gain' is invalid: gain must be positive, got 0.0"),
+    "init_length": (
+        _config_with(lambda p: p["init"].pop()),
+        "key 'init' is invalid: need 4 initial states, got 3"),
+    "init_not_finite": (
+        _config_with(lambda p: p["init"].__setitem__(1, math.inf)),
+        "key 'init' is invalid: initial states must be finite"),
+}
+
+
+@pytest.mark.parametrize("text, message", EXACT_MESSAGES.values(), ids=EXACT_MESSAGES.keys())
+def test_loader_messages_exact(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    message = message.replace("{path}", str(path))
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(path)
+    assert type(info.value) is ScenarioFormatError
+    assert str(info.value) == message
+    assert run_cli(["bound", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestScenarioValidation:
     def test_agent_ids_must_cover_range(self):
         base = demo_scenario()
