@@ -16,8 +16,8 @@ once gives the fractional-integral form
 where ``b`` is the power series inverse of the weights ``c``
 (``integral_weights``). For ``alpha = 1`` every ``b_j = 1`` and the sum is
 forward Euler: integer-order agents are the ``alpha = 1`` case, not a
-separate code path. ``simulate`` advances every agent with this sum, one
-block of steps at a time, and evaluates the history part with FFTs.
+separate code path. ``simulate`` advances every agent with this sum, a
+sub-block of steps at a time, and evaluates the older history with FFTs.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def _fft_size(n: int) -> int:
 # ones of up to NEAR_MAX sources, whose FFT rounding grows over a long run.
 DIRECT_MAX = 48
 NEAR_MAX = 128
+# A panel's sub-blocks are as long as their solve matrix (``_coupling_solve``)
+# keeps within this many entries.
+SOLVE_MAX = 2**15
 # An FFT product of transform size ``size`` transforms ``max(1, FFT_BATCH //
 # size)`` agents' rows at once, which bounds the memory of the widest levels.
 FFT_BATCH = 2**15
@@ -205,8 +208,10 @@ class _HistorySum:
     times; otherwise each batch transforms its own rows' weights. Each row
     is scaled by its own power of two first, so no transform overflows
     before the sum it computes does. ``simulate`` multiplies by views of
-    ``toeplitz`` for its direct in-panel products; ``add`` evaluates all
-    others, also when ``simulate`` redoes a panel.
+    ``toeplitz`` for its direct in-panel products and builds its coupling
+    solve (``_coupling_solve``) from them, since ``b[i, r - m]`` does not
+    depend on the width; ``add`` evaluates all other products, also when
+    ``simulate`` redoes a panel.
     """
 
     def __init__(self, orders, count: int):
@@ -251,6 +256,41 @@ class _HistorySum:
             )
 
 
+def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
+    """The agents ``fast`` that read states of their own sub-block of
+    ``size`` steps, and the matrix that solves for their inputs there.
+
+    Agent ``i``'s input ``t`` in the sub-block is
+
+        u[i, t] = v[i, t] + sum_j coef[i, j] * sum_m b[j, t - lag_i - 1 - m] * u[j, m],
+
+    where ``v`` is gathered from states that lack the sub-block's own
+    inputs, ``coef = -gain * h**order * L`` and ``b[j, r - m] =
+    toeplitz[j, r, m]``; the sum is empty unless ``lag_i + 1 < size``. The
+    other agents have ``u = v``, and ``u[fast] = tensordot(q, v, 2)``. An
+    input depends only on inputs at least ``block`` steps earlier, so ``q``
+    is built ``block`` rows at a time, each group from the ones before it.
+    """
+    fast = np.flatnonzero(lags + 1 < size)
+    q = np.zeros((fast.size, size, coef.shape[0], size))
+    # Input t of agent fast[f] reads the states after the sub-block's inputs
+    # up to t - lag - 1: that row of the Toeplitz, or none when negative.
+    rows = np.arange(size) - lags[fast, None] - 1
+    scale = coef[fast].T[:, :, None, None]
+    f, t = np.arange(fast.size)[:, None], np.arange(block)
+    for g in range(0, size, block):
+        r = rows[:, g : g + block]
+        # kern[j, f, t, m]: how input g + t of agent fast[f] reads input m of agent j.
+        kern = np.where(r[:, :, None] >= 0, toeplitz[:, np.maximum(r, 0), :size], 0.0) * scale
+        group = kern.transpose(1, 2, 0, 3).copy()
+        group[:, :, fast] = 0.0
+        group[f, t, fast[:, None], g + t] = 1.0
+        if g:
+            group += np.tensordot(kern[fast, :, :, :g], q[:, :g], axes=([0, 3], [0, 1]))
+        q[:, g : g + block] = group
+    return fast, q
+
+
 def simulate(scenario: "Scenario") -> Trajectory:
     """Integrate the delayed closed loop of a validated scenario.
 
@@ -266,24 +306,32 @@ def simulate(scenario: "Scenario") -> Trajectory:
 
     with the weights of ``integral_weights`` (all 1 for an integer-order
     agent, whose update is then forward Euler). Since ``u_k`` reads states
-    at least ``min lag`` steps old, a block of ``min lag + 1`` inputs is
-    formed at once from known states. Short blocks are grouped into
-    panels of up to ``DIRECT_MAX`` steps, and each block adds its sums over
-    the current panel with one Toeplitz product (an FFT product for a block
-    longer than ``NEAR_MAX``). The sums over earlier panels come from a
-    dyadic online convolution (Hairer, Lubich and Schlichte, 1985): at
-    panel boundary ``p``, with ``L = p & -p``, the inputs of panels
-    ``[p-L, p)`` are convolved with the weights and added to the states of
-    panels ``[p, p+L)``, directly for short products and by FFT for long
-    ones. The cost is O(steps * log(steps)**2) per agent plus a fixed
-    interpreter cost per block, so a zero delay, with one-step blocks, is
-    the slow case. States before t = 0 equal the initial state. Delays are
-    rounded to the nearest grid multiple. Stepping stops early with
-    ``diverged_at`` set at the first step whose state is not finite.
-    Finiteness is checked once per panel: a panel that goes non-finite is
-    restored from a copy taken before its first block and redone by one
-    product over the inputs before its first non-finite input, whose own
-    step is non-finite.
+    at least ``min lag`` steps old, a block of ``min lag + 1`` inputs can
+    be formed at once from known states. Short blocks are grouped into
+    panels of up to ``DIRECT_MAX`` steps, and each panel into sub-blocks:
+    the longest multiple of the block that divides the panel and whose
+    ``_coupling_solve`` matrix fits in ``SOLVE_MAX`` entries. A sub-block
+    gathers its inputs from the states it reads, solves for the inputs of
+    the agents that read its own states, and adds its sums over the panel
+    with Toeplitz products (an FFT product for a block longer than
+    ``NEAR_MAX``). A sub-block of one block solves nothing: it is stepped
+    as it is gathered. The sums over earlier panels come from a dyadic
+    online convolution (Hairer, Lubich and Schlichte, 1985): at panel
+    boundary ``p``, with ``L = p & -p``, the inputs of panels ``[p-L, p)``
+    are convolved with the weights and added to the states of panels
+    ``[p, p+L)``, directly for short products and by FFT for long ones. The
+    cost is O(steps * log(steps)**2) per agent plus a fixed interpreter
+    cost per sub-block. States before t = 0 equal the initial state.
+    Delays are rounded to the nearest grid multiple.
+
+    Stepping stops early with ``diverged_at`` set at the first step whose
+    state is not finite. A solved panel's inputs are gathered again from
+    its final states; if these inputs or the states are not finite, the
+    panel is restored and stepped one block at a time, as the solve can
+    stay finite where a gathered input overflows. Finiteness is checked
+    once per panel: a panel that goes non-finite is restored from a copy
+    taken before its first block and redone by one product over the inputs
+    before its first non-finite input, whose own step is non-finite.
     """
     g = scenario.graph
     n = g.n
@@ -315,23 +363,78 @@ def simulate(scenario: "Scenario") -> Trajectory:
         ) from exc
 
     # Short blocks are grouped into panels of up to DIRECT_MAX steps: the
-    # history inside a panel is one direct product per block, and the
-    # dyadic scheme runs over panels.
+    # history inside a panel is direct Toeplitz products, and the dyadic
+    # scheme runs over panels.
     span = max(1, DIRECT_MAX // block) * block
     panels = -(-steps // span)
-    # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
-    # start + t; own[i] = other[i, i].
+    # Sub-blocks: the longest multiple of the block that divides the panel
+    # and keeps the solve for the agents with lag + 1 < s within SOLVE_MAX.
+    size = max(s for s in range(block, span + 1, block)
+               if span % s == 0 and np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX)
     flat = states.reshape(-1)
-    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(block)
-    own = other[range(n), range(n)]
     coupling = w.T[:, :, None]
     states3, inputs3 = states[:, :, None], inputs[:, :, None]
-    # near[b]: the weights of the in-panel product of a panel's block b,
-    # when it is direct (none for longer blocks, which use ``history.add``).
-    near = [] if span > NEAR_MAX else [
-        history.toeplitz(span)[:, off : off + block, : off + block] for off in range(0, span, block)
-    ]
+
+    def plan(size):
+        """Gather indices, in-panel weights and solve for sub-blocks of ``size`` steps."""
+        # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
+        # start + t; own[i] = other[i, i].
+        other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(size)
+        # near[b]: the weights of the in-panel product of sub-block b, when
+        # it is direct (none for longer blocks, which use ``history.add``).
+        near = [] if span > NEAR_MAX else [
+            history.toeplitz(span)[:, off : off + size, : off + size] for off in range(0, span, size)
+        ]
+        solve = None
+        if size > block:
+            coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
+            solve = _coupling_solve(coef, lags, history.toeplitz(span), size, block)
+        return size, other, other[range(n), range(n)], near, solve
+
+    def gather(start, stop, other, own):
+        # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
+        # first: identical states give exactly zero input.
+        lagged = flat[start:].take(other)
+        np.subtract(flat[start:].take(own), lagged, out=lagged)
+        np.multiply(coupling, lagged, out=lagged)
+        u = -gain * np.add.reduce(lagged, axis=0)
+        np.multiply(step_pow, u, out=inputs[:, start:stop])
+
+    def advance(first, last, size, other, own, near, solve):
+        """Steps ``first`` to ``last`` of one panel, in sub-blocks of ``size``."""
+        for b, start in enumerate(range(first, last, size)):
+            stop = start + size
+            if stop > steps:
+                # The run's last sub-block is short; nothing follows it.
+                stop, m = steps, steps - start
+                other, own = other[:, :, :m], own[:, :m]
+                near = [v[:, :m, : v.shape[2] - size + m] for v in near]
+                if solve:
+                    solve = solve[0], solve[1][:, :m, :, :m]
+            into = states3[:, pad + start + 1 : pad + stop + 1]
+            if solve is None:
+                gather(start, stop, other, own)
+                if near:
+                    np.add(into, np.matmul(near[b], inputs3[:, first:stop]), out=into)
+                else:
+                    history.add(into[:, :, 0], start - first, span, inputs[:, first:stop])
+                continue
+            # The gather reads the sums over the panel's earlier sub-blocks;
+            # the solve adds what the sub-block's own inputs feed back.
+            off = start - first
+            if off:
+                np.add(into, np.matmul(near[b][:, :, :off], inputs3[:, first:start]), out=into)
+            gather(start, stop, other, own)
+            fast, q = solve
+            v = inputs[:, start:stop]
+            inputs[fast, start:stop] = (q.reshape(-1, v.size) @ v.reshape(-1)).reshape(fast.size, -1)
+            np.add(into, np.matmul(near[b][:, :, off:], inputs3[:, start:stop]), out=into)
+            # The inputs as stepping forms them, from the final states.
+            gather(start, stop, other, own)
+
     with np.errstate(over="ignore", invalid="ignore"):
+        stepped = plan(block)
+        solved = stepped if size == block else plan(size)
         for p in range(panels):
             first = p * span
             last = min(first + span, steps)
@@ -341,30 +444,17 @@ def simulate(scenario: "Scenario") -> Trajectory:
                 end = min(first + width, steps)
                 history.add(states[:, pad + first + 1 : pad + end + 1], width, width,
                             inputs[:, first - width : first])
-            # Blocks add straight into the panel's states, and finiteness is
-            # checked once per panel; a redo starts again from ``saved``.
+            # Sub-blocks add straight into the panel's states, and finiteness
+            # is checked once per panel; a redo starts again from ``saved``.
             target = states[:, pad + first + 1 : pad + last + 1]
             saved = target.copy()
-            for b, start in enumerate(range(first, last, block)):
-                stop = start + block
-                if stop > steps:
-                    # The run's last block is short; nothing follows it.
-                    stop, m = steps, steps - start
-                    other, own = other[:, :, :m], own[:, :m]
-                    near = [v[:, :m, : v.shape[2] - block + m] for v in near]
-                # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
-                # first: identical states give exactly zero input.
-                lagged = flat[start:].take(other)
-                np.subtract(flat[start:].take(own), lagged, out=lagged)
-                np.multiply(coupling, lagged, out=lagged)
-                u = -gain * np.add.reduce(lagged, axis=0)
-                np.multiply(step_pow, u, out=inputs[:, start:stop])
-                if near:
-                    into = states3[:, pad + start + 1 : pad + stop + 1]
-                    np.add(into, np.matmul(near[b], inputs3[:, first:stop]), out=into)
-                else:
-                    history.add(target[:, start - first : stop - first], start - first, span,
-                                inputs[:, first:stop])
+            advance(first, last, *solved)
+            if solved is not stepped:
+                if np.isfinite(target).all() and np.isfinite(inputs[:, first:last]).all():
+                    continue
+                # The solve can stay finite where a gathered input overflows.
+                target[...] = saved
+                advance(first, last, *stepped)
             if np.isfinite(target).all():
                 continue
             # A non-finite input poisons earlier rows (0 * inf against the

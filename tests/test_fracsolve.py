@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from fracconsensus import (
     caputo_of_monomial,
     gl_caputo_estimate,
     gl_coefficients,
+    parse_scenario,
     simulate,
 )
+import fracconsensus.fracsolve as fracsolve
 from fracconsensus.fracsolve import (
-    DIRECT_MAX, FFT_BATCH, NEAR_MAX, _HistorySum, _fft_size, integral_weights,
+    DIRECT_MAX, FFT_BATCH, NEAR_MAX, SOLVE_MAX, _HistorySum, _fft_size, integral_weights,
 )
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
@@ -346,6 +350,16 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.states))
         assert traj.times.size == traj.states.shape[1]
 
+    def test_zero_delay_pair_speed(self):
+        # One-step blocks, each 48-step panel solved as one sub-block.
+        scenario = pair_scenario()
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            simulate(scenario)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.2
+
     def test_delay_far_past_horizon_reads_initial_state(self):
         # Any lag past the horizon reads only the prehistory, so an
         # astronomically long delay matches one just past the horizon.
@@ -376,6 +390,27 @@ def test_fractional_follower_error_is_first_order(order, constant):
     for h in steps:
         traj = simulate(leader_follower_scenario(order=order, horizon=20.0, step=h))
         errors.append(traj.states[1, round(1.0 / h)] - exact)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.9 <= coarse / fine <= 2.1
+    for h, error in zip(steps, errors):
+        assert error / h == pytest.approx(constant, rel=0.05)
+
+
+@pytest.mark.parametrize("order, constant", [(0.5, 0.0987), (0.9, 0.2264)])
+def test_symmetric_fractional_pair_error_is_first_order(order, constant):
+    # With zero delay and equal orders, d = x1 - x2 solves D^a d = -2 * gain * d,
+    # so d(t) = d(0) * E_a(-2 * gain * t**a); here gain = 1, d(0) = -1, t = 1.
+    exact = -mittag_leffler_of_negative(order, 2.0)
+    steps = (0.01, 0.005, 0.0025)
+    errors = []
+    for h in steps:
+        scenario = replace(
+            fractional_pair(0, 1.0, orders=(order, order)), solver=SolverParams(step=h, horizon=1.0)
+        )
+        # One-step blocks, solved in sub-blocks of a whole panel.
+        assert block_layout(scenario)[1:] == (1, 48) and sub_block(scenario) == 48
+        traj = simulate(scenario)
+        errors.append(traj.states[0, -1] - traj.states[1, -1] - exact)
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.9 <= coarse / fine <= 2.1
     for h, error in zip(steps, errors):
@@ -450,6 +485,45 @@ def block_layout(scenario):
     return steps, block, max(1, DIRECT_MAX // block) * block
 
 
+def sub_block(scenario):
+    """Sub-block length of ``simulate``: the longest multiple of the block
+    that divides the panel and keeps ``|F| * n * s**2`` within
+    ``SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 < s``."""
+    h = scenario.solver.step
+    steps, block, span = block_layout(scenario)
+    lags = [round(min(a.delay / h, steps)) for a in scenario.agents]
+    return max(
+        s for s in range(block, span + 1, block)
+        if span % s == 0 and sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= SOLVE_MAX
+    )
+
+
+def short_lag_scenario(seed):
+    """Random digraph, n in 2..8, mixed orders, every lag in 0..47 steps and
+    one of them below 8, so the panel is solved in sub-blocks; the run ends
+    in a partial sub-block. Odd seeds take a gain that diverges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
+    lags = [int(v) for v in rng.integers(0, 48, n)]
+    lags[int(rng.integers(n))] = int(rng.integers(0, 8))
+    gain = float(10 ** rng.uniform(3.5, 4.5) if seed % 2 else rng.uniform(0.3, 2.0))
+    # A directed ring under the random edges keeps every agent coupled.
+    weights = random_digraph(rng, n, edge_prob=0.5).weights + np.roll(np.eye(n), 1, axis=1)
+    scenario = Scenario(
+        graph=Digraph(n=n, weights=weights),
+        agents=tuple(AgentModel(id=i + 1, order=orders[i], delay=lags[i] * 1e-3) for i in range(n)),
+        gain=gain,
+        initial=tuple(rng.uniform(-1.0, 1.0, n)),
+        solver=SolverParams(step=1e-3, horizon=1.0),
+    )
+    _, _, span = block_layout(scenario)
+    size = sub_block(scenario)
+    tail = int(rng.integers(1, span))
+    tail -= tail % size == 0
+    return replace(scenario, solver=SolverParams(step=1e-3, horizon=(40 * span + tail) * 1e-3))
+
+
 def widest_level(scenario):
     """Sources of the widest history product ``simulate`` forms: panels and
     dyadic levels of panels."""
@@ -479,6 +553,31 @@ class TestReferenceEquivalence:
     def test_random_mixed_digraphs(self, seed):
         scenario = random_mixed_scenario(seed)
         traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_sub_block_sizes(self):
+        golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
+        assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 24
+        assert block_layout(pair_scenario())[1:] == (1, 48) and sub_block(pair_scenario()) == 48
+        # Long blocks are stepped one at a time.
+        assert block_layout(demo_scenario())[1:] == (601, 601) and sub_block(demo_scenario()) == 601
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_short_lags_solved_per_sub_block(self, seed, monkeypatch):
+        scenario = short_lag_scenario(seed)
+        steps, block, span = block_layout(scenario)
+        size = sub_block(scenario)
+        assert block < size <= span and steps % size
+        sizes = []
+        solve = fracsolve._coupling_solve
+        monkeypatch.setattr(
+            fracsolve, "_coupling_solve", lambda *args: sizes.append(args[3]) or solve(*args)
+        )
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert sizes == [size]
+        assert (ref.diverged_at is not None) == bool(seed % 2)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
