@@ -17,7 +17,8 @@ where ``b`` is the power series inverse of the weights ``c``
 (``integral_weights``). For ``alpha = 1`` every ``b_j = 1`` and the sum is
 forward Euler: integer-order agents are the ``alpha = 1`` case, not a
 separate code path. ``simulate`` advances every agent with this sum, a
-sub-block of steps at a time, and evaluates the older history with FFTs.
+sub-block of steps at a time: one product adds each sub-block's inputs to
+the rest of its panel, and FFTs evaluate the older history.
 """
 
 from __future__ import annotations
@@ -207,11 +208,9 @@ class _HistorySum:
     which holds exactly when a far-field product recurs at least three
     times; otherwise each batch transforms its own rows' weights. Each row
     is scaled by its own power of two first, so no transform overflows
-    before the sum it computes does. ``simulate`` multiplies by views of
-    ``toeplitz`` for its direct in-panel products and builds its coupling
-    solve (``_coupling_solve``) from them, since ``b[i, r - m]`` does not
-    depend on the width; ``add`` evaluates all other products, also when
-    ``simulate`` redoes a panel.
+    before the sum it computes does. ``add`` evaluates every product of
+    ``simulate``; ``_coupling_solve`` reads views of ``toeplitz``, since
+    ``b[i, r - m]`` does not depend on the width.
     """
 
     def __init__(self, orders, count: int):
@@ -312,17 +311,16 @@ def simulate(scenario: "Scenario") -> Trajectory:
     the longest multiple of the block that divides the panel and whose
     ``_coupling_solve`` matrix fits in ``SOLVE_MAX`` entries. A sub-block
     gathers its inputs from the states it reads, solves for the inputs of
-    the agents that read its own states, and adds its sums over the panel
-    with Toeplitz products (an FFT product for a block longer than
-    ``NEAR_MAX``). A sub-block of one block solves nothing: it is stepped
-    as it is gathered. The sums over earlier panels come from a dyadic
-    online convolution (Hairer, Lubich and Schlichte, 1985): at panel
-    boundary ``p``, with ``L = p & -p``, the inputs of panels ``[p-L, p)``
-    are convolved with the weights and added to the states of panels
-    ``[p, p+L)``, directly for short products and by FFT for long ones. The
-    cost is O(steps * log(steps)**2) per agent plus a fixed interpreter
-    cost per sub-block. States before t = 0 equal the initial state.
-    Delays are rounded to the nearest grid multiple.
+    the agents that read its own states (a sub-block of one block solves
+    nothing), and adds them to every later state of its panel with one
+    ``_HistorySum.add`` product. The sums over earlier panels come from a
+    dyadic online convolution (Hairer, Lubich and Schlichte, 1985): at
+    panel boundary ``p``, with ``L = p & -p``, the inputs of panels
+    ``[p-L, p)`` are convolved with the weights and added to the states of
+    panels ``[p, p+L)``, directly for short products and by FFT for long
+    ones. The cost is O(steps * log(steps)**2) per agent plus a fixed
+    interpreter cost per sub-block. States before t = 0 equal the initial
+    state. Delays are rounded to the nearest grid multiple.
 
     Stepping stops early with ``diverged_at`` set at the first step whose
     state is not finite. A solved panel's inputs are gathered again from
@@ -373,64 +371,47 @@ def simulate(scenario: "Scenario") -> Trajectory:
                if span % s == 0 and np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX)
     flat = states.reshape(-1)
     coupling = w.T[:, :, None]
-    states3, inputs3 = states[:, :, None], inputs[:, :, None]
 
     def plan(size):
-        """Gather indices, in-panel weights and solve for sub-blocks of ``size`` steps."""
-        # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
-        # start + t; own[i] = other[i, i].
-        other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(size)
-        # near[b]: the weights of the in-panel product of sub-block b, when
-        # it is direct (none for longer blocks, which use ``history.add``).
-        near = [] if span > NEAR_MAX else [
-            history.toeplitz(span)[:, off : off + size, : off + size] for off in range(0, span, size)
-        ]
+        """Gather indices and solve for sub-blocks of ``size`` steps."""
         solve = None
         if size > block:
             coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
             solve = _coupling_solve(coef, lags, history.toeplitz(span), size, block)
-        return size, other, other[range(n), range(n)], near, solve
+        # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
+        # start + t, over up to two sub-blocks when a solve gathers its own
+        # again; own[i] = other[i, i].
+        other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(
+            min(2 * size, span) if solve else size)
+        return size, other, other[range(n), range(n)], solve
 
     def gather(start, stop, other, own):
         # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
         # first: identical states give exactly zero input.
-        lagged = flat[start:].take(other)
-        np.subtract(flat[start:].take(own), lagged, out=lagged)
+        lagged = flat[start:].take(other[:, :, : stop - start])
+        np.subtract(flat[start:].take(own[:, : stop - start]), lagged, out=lagged)
         np.multiply(coupling, lagged, out=lagged)
         u = -gain * np.add.reduce(lagged, axis=0)
         np.multiply(step_pow, u, out=inputs[:, start:stop])
 
-    def advance(first, last, size, other, own, near, solve):
+    def advance(first, last, size, other, own, solve):
         """Steps ``first`` to ``last`` of one panel, in sub-blocks of ``size``."""
-        for b, start in enumerate(range(first, last, size)):
-            stop = start + size
-            if stop > steps:
-                # The run's last sub-block is short; nothing follows it.
-                stop, m = steps, steps - start
-                other, own = other[:, :, :m], own[:, :m]
-                near = [v[:, :m, : v.shape[2] - size + m] for v in near]
-                if solve:
-                    solve = solve[0], solve[1][:, :m, :, :m]
-            into = states3[:, pad + start + 1 : pad + stop + 1]
-            if solve is None:
-                gather(start, stop, other, own)
-                if near:
-                    np.add(into, np.matmul(near[b], inputs3[:, first:stop]), out=into)
-                else:
-                    history.add(into[:, :, 0], start - first, span, inputs[:, first:stop])
-                continue
-            # The gather reads the sums over the panel's earlier sub-blocks;
-            # the solve adds what the sub-block's own inputs feed back.
-            off = start - first
-            if off:
-                np.add(into, np.matmul(near[b][:, :, :off], inputs3[:, first:start]), out=into)
-            gather(start, stop, other, own)
-            fast, q = solve
-            v = inputs[:, start:stop]
-            inputs[fast, start:stop] = (q.reshape(-1, v.size) @ v.reshape(-1)).reshape(fast.size, -1)
-            np.add(into, np.matmul(near[b][:, :, off:], inputs3[:, start:stop]), out=into)
-            # The inputs as stepping forms them, from the final states.
-            gather(start, stop, other, own)
+        gather(first, min(first + size, last), other, own)
+        for start in range(first, last, size):
+            stop = min(start + size, last)
+            if solve:
+                # The gather read the sums over the panel's earlier
+                # sub-blocks; the solve adds what its own inputs feed back.
+                fast, q = solve
+                v, m = inputs[:, start:stop], stop - start
+                q = q[:, :m, :, :m].reshape(-1, v.size)
+                inputs[fast, start:stop] = (q @ v.reshape(-1)).reshape(fast.size, m)
+            history.add(states[:, pad + start + 1 : pad + last + 1], 0, span, inputs[:, start:stop])
+            # The next sub-block's inputs; after a solve, this sub-block's
+            # too, as stepping forms them from the final states.
+            lo, hi = start if solve else stop, min(stop + size, last)
+            if lo < hi:
+                gather(lo, hi, other, own)
 
     with np.errstate(over="ignore", invalid="ignore"):
         stepped = plan(block)

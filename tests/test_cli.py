@@ -172,6 +172,8 @@ class TestGoldenOutput:
     # stderr. symmetric_mixed_4agent is left out: it does not converge, and
     # simulate exits 1 on it. mixed_lags_8agent is shaped like the benchmark's
     # simulate jobs: 3-step blocks in 48-step panels, lags up to 541 steps.
+    # long_block_6agent (lags 80-310 steps) has 81-step blocks, whose
+    # in-panel products take _HistorySum.add's direct branch above DIRECT_MAX.
     @pytest.mark.parametrize(
         "config, verdict",
         [
@@ -184,8 +186,13 @@ class TestGoldenOutput:
                 MIXED_LAGS,
                 "verdict: Converged  final_spread: 0.00654387  consensus_value: 0.288635\n",
             ),
+            (
+                GOLDEN / "long_block_6agent.json",
+                "verdict: Converged  final_spread: 0.00630524  consensus_value: 0.41003\n",
+            ),
         ],
-        ids=["mixed_order_4agent", "symmetric_integer_4agent", "mixed_lags_8agent"],
+        ids=["mixed_order_4agent", "symmetric_integer_4agent", "mixed_lags_8agent",
+             "long_block_6agent"],
     )
     def test_simulate_output(self, capsys, config, verdict):
         assert run_cli(["simulate", str(config)]) == 0

@@ -155,8 +155,9 @@ class TestHistorySum:
 
     @pytest.mark.parametrize("block, span", [(1, 48), (3, 48), (5, 45), (61, 61), (128, 128)])
     def test_near_field_views_match_add(self, block, span):
-        # simulate's view of the Toeplitz cache for block position off, and
-        # the view it cuts from that for a short last block of ``rows``.
+        # _coupling_solve reads views of the Toeplitz cache, as b[i, r - m]
+        # does not depend on the width: the view for block position off, and
+        # its cut for a short last block of ``rows``, must give add's product.
         orders = [1.0, 0.7, 0.9, 0.7]
         history = _HistorySum(orders, 4 * span)
         src = np.random.default_rng(block).uniform(-1.0, 1.0, (len(orders), span))
@@ -524,6 +525,23 @@ def short_lag_scenario(seed):
     return replace(scenario, solver=SolverParams(step=1e-3, horizon=(40 * span + tail) * 1e-3))
 
 
+def wide_short_lag_scenario():
+    """n = 64, mixed orders, lags of 1 to 3 steps, 0.5 s: no multiple of the
+    two-step block keeps a solve within ``SOLVE_MAX``, so each 48-step panel
+    is stepped in 24 sub-blocks of one block each."""
+    rng = np.random.default_rng(64)
+    n = 64
+    orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
+    lags = 1 + np.arange(n) % 3
+    return Scenario(
+        graph=random_digraph(rng, n, edge_prob=0.1),
+        agents=tuple(AgentModel(id=i + 1, order=orders[i], delay=lags[i] * 1e-3) for i in range(n)),
+        gain=1.0,
+        initial=tuple(rng.uniform(-1.0, 1.0, n)),
+        solver=SolverParams(step=1e-3, horizon=0.5),
+    )
+
+
 def widest_level(scenario):
     """Sources of the widest history product ``simulate`` forms: panels and
     dyadic levels of panels."""
@@ -541,11 +559,13 @@ class TestReferenceEquivalence:
             pair_scenario(),
             leader_follower_scenario(),
             demo_scenario(),
+            wide_short_lag_scenario(),
         ],
-        ids=["pair", "leader_follower", "demo"],
+        ids=["pair", "leader_follower", "demo", "stepped_sub_blocks"],
     )
     def test_property_scenarios(self, scenario):
         traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
 
@@ -561,8 +581,11 @@ class TestReferenceEquivalence:
         golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
         assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 24
         assert block_layout(pair_scenario())[1:] == (1, 48) and sub_block(pair_scenario()) == 48
-        # Long blocks are stepped one at a time.
+        # Long blocks are stepped one at a time, and so are short ones when
+        # no multiple of the block keeps the solve within SOLVE_MAX.
         assert block_layout(demo_scenario())[1:] == (601, 601) and sub_block(demo_scenario()) == 601
+        wide = wide_short_lag_scenario()
+        assert block_layout(wide)[1:] == (2, 48) and sub_block(wide) == 2
 
     @pytest.mark.parametrize("seed", range(24))
     def test_short_lags_solved_per_sub_block(self, seed, monkeypatch):
