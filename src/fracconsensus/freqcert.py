@@ -16,7 +16,10 @@ evidence are computed:
   verdict therefore never keys on it);
 * the net encirclements of -1 by the eigenvalue loci of G(jw), read from the
   phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980),
-  from one LU factorisation per frequency, on the calling thread.
+  from one LU factorisation per grid frequency up to the first at or above
+  ``max_i (2*gain*d_i)**(1/a_i)``, on the calling thread. Above that
+  frequency Gerschgorin keeps every eigenvalue of G inside the unit circle,
+  so no locus can reach -1 there.
 """
 
 from __future__ import annotations
@@ -181,11 +184,14 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     whose wrapped phase change exceeds ``RESOLVED_STEP``, or that lie below
     the frequency where Gerschgorin puts every eigenvalue inside the unit
     circle and turn ``w*max(tau_i)`` by more than ``RESOLVED_STEP``, are
-    bisected up to ``REFINE_ROUNDS`` times. A run of adjacent resolved steps
-    counts ``(S(end) - S(start) - sum of changes) / (2*pi)``; bisection over
-    its steps places the events, merging opposite events inside one probe
-    interval. The root count ``2*jump`` is exact when every step resolves and
-    the grid top lies at or above that Gerschgorin frequency.
+    bisected up to ``REFINE_ROUNDS`` times. Only the grid up to its first
+    point at or above that Gerschgorin frequency is swept: past it ``S`` is
+    continuous, so no later step can change the count. A run of adjacent
+    resolved steps counts ``(S(end) - S(start) - sum of changes) / (2*pi)``;
+    bisection over its steps places the events, merging opposite events
+    inside one probe interval. The root count ``2*jump`` is exact when every
+    step resolves and the top of ``omegas`` lies at or above that Gerschgorin
+    frequency.
     """
     if g.n > MAX_DENSE_NODES:
         raise ValueError(f"key 'n' is invalid: eigen loci limited to {MAX_DENSE_NODES} nodes, "
@@ -208,7 +214,10 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
             raise ValueError(f"key 'edges' is invalid: {overflow}")
         raise ValueError(f"key 'gain' is invalid: {overflow} with gain {gain:.6g}")
 
-    points, phase = omegas, _det_phase(omegas, lap, gain, agents)
+    # Above ``inside`` every 1 + lambda_k stays in the right half-plane, so
+    # no step past the first grid point there can change the count.
+    points = omegas[:np.searchsorted(omegas, inside) + 1]
+    phase = _det_phase(points, lap, gain, agents)
     for rounds in range(REFINE_ROUNDS + 1):
         turns = np.angle(phase[1:] * phase[:-1].conj())  # wrapped phase change of each step
         # Below ``inside`` a step that turns w*tau by more than RESOLVED_STEP

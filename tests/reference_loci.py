@@ -7,7 +7,8 @@ count with one eigenproblem per frequency, the way ``certify`` made it before
 it took the phase from one LU factorisation per frequency.
 ``characteristic_value`` is the characteristic determinant at one frequency,
 whose phase the slogdet phase must match. ``diagonal_scaling`` rebuilds the
-matrix of one frequency.
+matrix of one frequency. ``sweep_top`` is the highest frequency ``certify``
+may factorise, from the closed form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from fracconsensus import laplacian
+from fracconsensus import degree_vector, laplacian
 from fracconsensus.freqcert import REFINE_ROUNDS, RESOLVED_STEP
 
 NEGLIGIBLE_LOCUS = 1e-9
@@ -27,6 +28,15 @@ def diagonal_scaling(omega: float, agents) -> np.ndarray:
     orders = np.array([a.order for a in agents])
     delays = np.array([a.delay for a in agents])
     return omega ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + omega * delays))
+
+
+def sweep_top(g, agents, gain: float, grid: np.ndarray) -> float:
+    """First point of ``grid`` at or above ``max_i (2*gain*d_i)**(1/a_i)``,
+    past which Gerschgorin keeps every eigenvalue of G(jw) inside the unit
+    circle; the grid top when no point is."""
+    orders = np.array([a.order for a in agents])
+    inside = ((2.0 * gain * degree_vector(g)) ** (1.0 / orders)).max()
+    return float(grid[min(np.searchsorted(grid, inside), grid.size - 1)])
 
 
 def characteristic_value(omega: float, g, agents, gain: float) -> complex:

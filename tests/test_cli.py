@@ -27,7 +27,7 @@ from fracconsensus import (
     scenario_to_dict,
 )
 from conftest import demo_scenario, pair_scenario
-from reference_loci import diagonal_scaling
+from reference_loci import diagonal_scaling, sweep_top
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -223,12 +223,15 @@ class TestCertifyCommand:
         assert "verdict: Pass" in capsys.readouterr().out
 
     def test_fail_exit_one(self, tmp_path, capsys):
+        # The shipped config with every delay 0.8.
         scen = demo_scenario(delay=0.8, horizon=1.0)
         config = write_scenario(tmp_path, scen)
         assert run_cli(["certify", config]) == 1
-        captured = capsys.readouterr().out
-        assert "verdict: Fail" in captured
-        assert "right-half-plane roots: 2\n  encirclement +1 near omega" in captured
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "right-half-plane roots: 2",
+            "  encirclement +1 near omega 1.38379",
+            "verdict: Fail",
+        ]
 
     def test_criterion_pass_with_encirclement_is_flagged(self, tmp_path, capsys):
         # At uniform delay 0.77 the shipped system has a pair of roots in the
@@ -247,6 +250,29 @@ class TestCertifyCommand:
             "criterion passes, but the loci encircle -1 on net 1 time(s)",
         ]
         assert lines[-1] == "verdict: Pass"
+
+    def test_loci_lines_directed_ring(self, tmp_path, capsys):
+        # Unit-weight directed 6-ring, order 1, delay 0.7: two loci cross the
+        # real axis left of -1. The verdict is not pinned here.
+        n = 6
+        payload = {
+            "n": n,
+            "edges": [[i, i % n + 1, 1.0] for i in range(1, n + 1)],
+            "agents": [{"id": i, "order": 1.0, "delay": 0.7} for i in range(1, n + 1)],
+            "gain": 1.0,
+            "init": [float(i) for i in range(n)],
+            "solver": {"h": 1e-2, "horizon": 1.0},
+        }
+        path = tmp_path / "ring6.json"
+        path.write_text(json.dumps(payload))
+        assert run_cli(["certify", str(path)]) in (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("right-half-plane roots: 4")
+        assert lines[start + 1:start + 3] == [
+            "  encirclement +1 near omega 0.748061",
+            "  encirclement +1 near omega 1.49309",
+        ]
+        assert not lines[start + 3].startswith("  encirclement")
 
     @pytest.mark.parametrize("edges", [
         [[1, 2, 1.0], [2, 1, 1.0], [3, 4, 1.0], [4, 3, 1.0]],  # two pairs, the criterion passes
@@ -267,9 +293,13 @@ class TestCertifyCommand:
 
     def test_eigenvalue_failure_names_frequency(self, capsys, monkeypatch):
         # Eigenproblems are solved only at the ends of runs of resolved grid
-        # steps and at event probes; here the one at the top of the grid fails.
+        # steps and at event probes; here the one at the top of the sweep
+        # fails: the first grid point at or above max_i (2*gain*d_i)**(1/a_i),
+        # past which Gerschgorin keeps every eigenvalue inside the unit circle.
         scen = parse_scenario(CONFIG)
-        omega = float(omega_grid(scen.agents)[-1])
+        grid = omega_grid(scen.agents)
+        omega = sweep_top(scen.graph, scen.agents, scen.gain, grid)
+        assert omega < grid[-1]
         target = scen.gain * (diagonal_scaling(omega, scen.agents)[:, None]
                               * laplacian(scen.graph))
         eigvals = np.linalg.eigvals

@@ -22,9 +22,10 @@ from fracconsensus import (
     omega_grid,
     parse_scenario,
 )
+from fracconsensus import freqcert
 from fracconsensus.freqcert import _det_phase
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
-from reference_loci import characteristic_value, reference_count, reference_loci
+from reference_loci import characteristic_value, reference_count, reference_loci, sweep_top
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 
@@ -221,6 +222,80 @@ class TestEigenLoci:
         high = eigen_loci(pair_graph(), agents, 1.0, np.geomspace(1e-3, 2.0, 500))
         assert (low.jump, low.roots) == (0, None)
         assert (high.jump, high.roots) == (0, 0)
+
+
+def directed_ring(n):
+    return Digraph.from_edges(n, [(i, i % n + 1, 1.0) for i in range(1, n + 1)])
+
+
+def mesh_case():
+    """n = 32 random digraph shaped like the benchmark's certify jobs: half
+    the agents of order 0.7-0.95, delays 10-300 ms, gain 0.2-1."""
+    rng = np.random.default_rng(41)
+    g = random_digraph(rng, 32, edge_prob=0.1)
+    orders = np.ones(32)
+    orders[rng.choice(32, size=16, replace=False)] = rng.uniform(0.7, 0.95, 16)
+    agents = tuple(AgentModel(id=i + 1, order=float(orders[i]), delay=float(rng.uniform(0.01, 0.3)))
+                   for i in range(32))
+    return g, agents, float(rng.uniform(0.2, 1.0))
+
+
+class TestSweepTop:
+    """No frequency above the first grid point at or above
+    ``max_i (2*gain*d_i)**(1/a_i)``, where Gerschgorin keeps every eigenvalue
+    of G(jw) inside the unit circle, is factorised or solved."""
+
+    @staticmethod
+    def sweep(monkeypatch, g, agents, gain):
+        """``eigen_loci`` on the full grid, the grid and its sweep top, and the
+        largest frequency ``_det_phase`` or ``_phase_sum`` was handed."""
+        seen = []
+        det_phase, phase_sum = freqcert._det_phase, freqcert._phase_sum
+
+        def spy_det_phase(omegas, *args):
+            seen.extend(omegas)
+            return det_phase(omegas, *args)
+
+        def spy_phase_sum(omega, *args):
+            seen.append(omega)
+            return phase_sum(omega, *args)
+
+        monkeypatch.setattr(freqcert, "_det_phase", spy_det_phase)
+        monkeypatch.setattr(freqcert, "_phase_sum", spy_phase_sum)
+        grid = omega_grid(agents)
+        result = eigen_loci(g, agents, gain, grid)
+        return result, grid, sweep_top(g, agents, gain, grid), max(seen)
+
+    @pytest.mark.parametrize("delay", [0.6, 0.8, None],
+                             ids=["shipped", "shipped_delay_08", "mesh32"])
+    def test_count_exact_below_the_top(self, monkeypatch, delay):
+        if delay is None:
+            g, agents, gain = mesh_case()
+        else:
+            scen = parse_scenario(CONFIG)
+            g, gain = scen.graph, scen.gain
+            agents = tuple(AgentModel(id=a.id, order=a.order, delay=delay) for a in scen.agents)
+        result, grid, top, highest = self.sweep(monkeypatch, g, agents, gain)
+        assert highest == top < grid[-1]
+        _, jump, roots = reference_count(g, agents, gain, grid)
+        assert roots is not None
+        assert (result.jump, result.roots) == (jump, roots)
+
+    def test_gerschgorin_frequency_below_the_grid(self, monkeypatch):
+        ring = directed_ring(3)
+        agents = tuple(AgentModel(id=i, order=1.0, delay=0.5) for i in (1, 2, 3))
+        result, grid, top, highest = self.sweep(monkeypatch, ring, agents, 1e-12)
+        assert highest == top == grid[0]
+        assert (result.crossings, result.jump, result.roots) == ((), 0, 0)
+
+    def test_gerschgorin_frequency_above_the_grid(self, monkeypatch):
+        # (2*50)**(1/0.3) = 4.6e6 rad/s: the whole grid is swept, and its 1e3
+        # top leaves the count inexact.
+        ring = directed_ring(3)
+        agents = tuple(AgentModel(id=i, order=0.3, delay=0.01) for i in (1, 2, 3))
+        result, grid, top, highest = self.sweep(monkeypatch, ring, agents, 50.0)
+        assert highest == top == grid[-1]
+        assert (result.jump, result.roots, len(result.crossings)) == (4, None, 4)
 
 
 def uniform_roots(g, agents, delay, gain=1.0):
