@@ -83,9 +83,9 @@ class SolverParams:
 class Trajectory:
     """Simulated states on a uniform time grid.
 
-    ``states[i, k]`` is agent ``i + 1`` at ``times[k]``. When the stepper
-    hits a non-finite value it stops and records the first bad time in
-    ``diverged_at``; the stored columns are all finite.
+    ``states[i, k]`` is agent ``i + 1`` at ``times[k]``. When some state
+    first exceeds ``LIMIT`` in magnitude the stepper stops, records that
+    step's time in ``diverged_at`` and keeps the steps before it.
     """
 
     times: np.ndarray
@@ -190,6 +190,9 @@ SOLVE_MAX = 2**15
 # An FFT product of transform size ``size`` transforms ``max(1, FFT_BATCH //
 # size)`` agents' rows at once, which bounds the memory of the widest levels.
 FFT_BATCH = 2**15
+# A run diverges at the first step where some state exceeds this in
+# magnitude; ``simulate`` refuses a scenario that could overflow before then.
+LIMIT = 1e100
 
 
 class _HistorySum:
@@ -207,8 +210,8 @@ class _HistorySum:
     cached per ``(off, width)`` when ``5 * width`` is below the step count,
     which holds exactly when a far-field product recurs at least three
     times; otherwise each batch transforms its own rows' weights. Each row
-    is scaled by its own power of two first, so no transform overflows
-    before the sum it computes does. ``add`` evaluates every product of
+    is its own transform, so rows of any size share a batch; ``simulate``'s
+    bound keeps every transform finite. ``add`` evaluates every product of
     ``simulate``; ``_coupling_solve`` reads views of ``toeplitz``, since
     ``b[i, r - m]`` does not depend on the width.
     """
@@ -244,15 +247,11 @@ class _HistorySum:
             spectra = self.spectra[(off, width)] = np.fft.rfft(weights, size)
         batch = max(1, FFT_BATCH // size)
         for i in range(0, out.shape[0], batch):
-            part = src[i : i + batch]
-            scale = np.frexp(np.maximum(part.max(axis=1), -part.min(axis=1)))[1][:, None]
-            spec = np.fft.rfft(np.ldexp(part, -scale), size)
+            spec = np.fft.rfft(src[i : i + batch], size)
             # Each row takes the weight transform of its own order.
             rank = self.rank[i : i + batch]
             spec *= np.fft.rfft(weights[rank], size) if spectra is None else spectra[rank]
-            out[i : i + batch] += np.ldexp(
-                np.fft.irfft(spec, size)[:, off - lo : off - lo + rows], scale
-            )
+            out[i : i + batch] += np.fft.irfft(spec, size)[:, off - lo : off - lo + rows]
 
 
 def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
@@ -322,14 +321,20 @@ def simulate(scenario: "Scenario") -> Trajectory:
     interpreter cost per sub-block. States before t = 0 equal the initial
     state. Delays are rounded to the nearest grid multiple.
 
-    Stepping stops early with ``diverged_at`` set at the first step whose
-    state is not finite. A solved panel's inputs are gathered again from
-    its final states; if these inputs or the states are not finite, the
-    panel is restored and stepped one block at a time, as the solve can
-    stay finite where a gathered input overflows. Finiteness is checked
-    once per panel: a panel that goes non-finite is restored from a copy
-    taken before its first block and redone by one product over the inputs
-    before its first non-finite input, whose own step is non-finite.
+    Stepping stops early with ``diverged_at`` set at the first step where
+    some ``|x_i|`` exceeds ``LIMIT`` (the first, if ``x(0)`` does). Each
+    sub-block is checked right after its product, before a solve's inputs
+    are gathered again from its final states. Nothing overflows before
+    that check. With the checked states within ``LIMIT``, a stored input
+    is at most ``grow * LIMIT``, ``grow = 2 * gain * max degree * max
+    h**order``, and each ``b_j <= 1``: a state not yet final is at most
+    ``LIMIT * (1 + steps * grow)``. Each of a panel's ``span // size``
+    solves multiplies that by at most ``1 + size * norm * grow``, ``norm``
+    its matrix's row-sum norm. A gathered input before ``h**order``, and
+    an FFT product (size below ``8 * steps``, weights summing to at most
+    ``4 * steps``), stay within ``max(2 * max degree * max(gain, 1), 32 *
+    steps**2)`` times that bound; a scenario whose product reaches
+    ``exp(709)`` is refused, naming ``key 'gain'``.
     """
     g = scenario.graph
     n = g.n
@@ -359,6 +364,8 @@ def simulate(scenario: "Scenario") -> Trajectory:
             f"key 'solver' is invalid: {scenario.solver.horizon / h:.3g} steps "
             f"cannot be allocated ({exc})"
         ) from exc
+    if np.abs(x0).max() > LIMIT:
+        return Trajectory(times=np.zeros(1), states=x0[:, None], diverged_at=h)
 
     # Short blocks are grouped into panels of up to DIRECT_MAX steps: the
     # history inside a panel is direct Toeplitz products, and the dyadic
@@ -369,23 +376,31 @@ def simulate(scenario: "Scenario") -> Trajectory:
     # and keeps the solve for the agents with lag + 1 < s within SOLVE_MAX.
     size = max(s for s in range(block, span + 1, block)
                if span % s == 0 and np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX)
-    flat = states.reshape(-1)
-    coupling = w.T[:, :, None]
-
-    def plan(size):
-        """Gather indices and solve for sub-blocks of ``size`` steps."""
-        solve = None
-        if size > block:
+    solve, norm = None, 0.0
+    if size > block:
+        # An absurd gain overflows the matrix; the bound below refuses it.
+        with np.errstate(over="ignore", invalid="ignore"):
             coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
             solve = _coupling_solve(coef, lags, history.toeplitz(span), size, block)
-        # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
-        # start + t, over up to two sub-blocks when a solve gathers its own
-        # again; own[i] = other[i, i].
-        other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(
-            min(2 * size, span) if solve else size)
-        return size, other, other[range(n), range(n)], solve
+            norm = float(np.abs(solve[1]).sum(axis=(2, 3)).max())
+    degree = float(w.sum(axis=1).max())
+    grow = 2 * gain * degree * float(step_pow.max())
+    reach = (math.log(LIMIT * max(2 * degree * max(gain, 1.0), 32 * steps**2))
+             + math.log1p(steps * grow) + span // size * math.log1p(size * norm * grow))
+    if not reach < 709.0:
+        raise ValueError(f"key 'gain' is invalid: with gain {gain:.6g} a state could overflow "
+                         f"before it is checked against the divergence limit {LIMIT:g}")
 
-    def gather(start, stop, other, own):
+    flat = states.reshape(-1)
+    coupling = w.T[:, :, None]
+    # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
+    # start + t, over up to two sub-blocks when a solve gathers its own
+    # again; own[i] = other[i, i].
+    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(
+        min(2 * size, span) if solve else size)
+    own = other[range(n), range(n)]
+
+    def gather(start, stop):
         # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
         # first: identical states give exactly zero input.
         lagged = flat[start:].take(other[:, :, : stop - start])
@@ -394,9 +409,16 @@ def simulate(scenario: "Scenario") -> Trajectory:
         u = -gain * np.add.reduce(lagged, axis=0)
         np.multiply(step_pow, u, out=inputs[:, start:stop])
 
-    def advance(first, last, size, other, own, solve):
-        """Steps ``first`` to ``last`` of one panel, in sub-blocks of ``size``."""
-        gather(first, min(first + size, last), other, own)
+    for p in range(panels):
+        first = p * span
+        last = min(first + span, steps)
+        if p:
+            # Far field: level L runs at panels L, 3L, 5L, ...
+            width = (p & -p) * span
+            end = min(first + width, steps)
+            history.add(states[:, pad + first + 1 : pad + end + 1], width, width,
+                        inputs[:, first - width : first])
+        gather(first, min(first + size, last))
         for start in range(first, last, size):
             stop = min(start + size, last)
             if solve:
@@ -407,46 +429,15 @@ def simulate(scenario: "Scenario") -> Trajectory:
                 q = q[:, :m, :, :m].reshape(-1, v.size)
                 inputs[fast, start:stop] = (q @ v.reshape(-1)).reshape(fast.size, m)
             history.add(states[:, pad + start + 1 : pad + last + 1], 0, span, inputs[:, start:stop])
+            done = states[:, pad + start + 1 : pad + stop + 1]
+            if max(done.max(), -done.min()) > LIMIT:
+                k = start + 1 + int(np.argmax((np.abs(done) > LIMIT).any(axis=0)))
+                return Trajectory(times=np.arange(k) * h, states=states[:, pad : pad + k].copy(),
+                                  diverged_at=k * h)
             # The next sub-block's inputs; after a solve, this sub-block's
             # too, as stepping forms them from the final states.
             lo, hi = start if solve else stop, min(stop + size, last)
             if lo < hi:
-                gather(lo, hi, other, own)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        stepped = plan(block)
-        solved = stepped if size == block else plan(size)
-        for p in range(panels):
-            first = p * span
-            last = min(first + span, steps)
-            if p:
-                # Far field: level L runs at panels L, 3L, 5L, ...
-                width = (p & -p) * span
-                end = min(first + width, steps)
-                history.add(states[:, pad + first + 1 : pad + end + 1], width, width,
-                            inputs[:, first - width : first])
-            # Sub-blocks add straight into the panel's states, and finiteness
-            # is checked once per panel; a redo starts again from ``saved``.
-            target = states[:, pad + first + 1 : pad + last + 1]
-            saved = target.copy()
-            advance(first, last, *solved)
-            if solved is not stepped:
-                if np.isfinite(target).all() and np.isfinite(inputs[:, first:last]).all():
-                    continue
-                # The solve can stay finite where a gathered input overflows.
-                target[...] = saved
-                advance(first, last, *stepped)
-            if np.isfinite(target).all():
-                continue
-            # A non-finite input poisons earlier rows (0 * inf against the
-            # Toeplitz zeros, and the FFT), so the panel is redone from the
-            # inputs before it; its own row is non-finite (b_0 = 1).
-            target[...] = saved
-            bad = np.append(np.isfinite(inputs[:, first:last]).all(axis=0), False).argmin()
-            if bad:
-                history.add(target[:, :bad], 0, span, inputs[:, first : first + bad])
-            k = first + np.append(np.isfinite(target[:, :bad]).all(axis=0), False).argmin() + 1
-            states = states[:, pad : pad + k].copy()
-            return Trajectory(times=np.arange(k) * h, states=states, diverged_at=k * h)
+                gather(lo, hi)
 
     return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad:])

@@ -93,8 +93,8 @@ class Classification:
     when the spread stays below ``converged_tol`` over the final fifth of
     the horizon and its envelope does not grow there (the later half's peak
     exceeds the earlier half's by at most ``MONOTONE_SLACK``). Diverged
-    means a non-finite state, an early solver abort, or a final spread more
-    than ten times the initial one.
+    means a stop past the stepper's ``LIMIT`` (``diverged_at`` set), a
+    non-finite state, or a final spread over ten times the initial one.
     """
 
     verdict: ConvergenceVerdict
@@ -313,6 +313,8 @@ def bisect_critical_delay(
     # Probes snap to the step grid, so a finer bracket never narrows.
     if not tol >= template.solver.step:
         raise ValueError(f"tol must be at least the step {template.solver.step}, got {tol}")
+    if not (0.0 < converged_tol < math.inf):
+        raise ValueError(f"converged_tol must be positive and finite, got {converged_tol}")
     # Every probe lies inside the bracket, so snappable ends make every
     # probe snappable; check them before the first simulation.
     for name, tau in (("tau_lo", tau_lo), ("tau_hi", tau_hi)):

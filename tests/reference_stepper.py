@@ -3,9 +3,10 @@ kept as the reference oracle for equivalence tests.
 
 Integer agents advance with forward Euler, fractional agents with the
 explicit GL update, and the lagged inputs are built per group of agents
-that share a delay. Only two things differ from the original:
-``gl_coefficients`` now returns the array itself, and the weight window
-always spans the whole history.
+that share a delay. Only three things differ from the original:
+``gl_coefficients`` now returns the array itself, the weight window
+always spans the whole history, and a run diverges at the first state
+past ``LIMIT`` in magnitude rather than at the first non-finite one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from fracconsensus import Trajectory, gl_coefficients
+from fracconsensus.fracsolve import LIMIT
 
 
 def reference_simulate(scenario) -> Trajectory:
@@ -26,7 +28,8 @@ def reference_simulate(scenario) -> Trajectory:
     Integer agents advance with forward Euler; fractional agents advance
     with the explicit Grunwald-Letnikov update. States before t = 0 equal
     the initial state. Delays are rounded to the nearest grid multiple.
-    Stepping stops early with ``diverged_at`` set if a state overflows.
+    Stepping stops early with ``diverged_at`` set at the first step where
+    some ``|x_i|`` exceeds ``LIMIT``.
     """
     g = scenario.graph
     n = g.n
@@ -79,7 +82,7 @@ def reference_simulate(scenario) -> Trajectory:
                 new = x0[i] - window @ weights + step_pow[i] * u[i]
                 states[i, k + 1] = new
                 deviations[i, k + 1] = new - x0[i]
-            if not np.all(np.isfinite(states[:, k + 1])):
+            if not np.all(np.abs(states[:, k + 1]) <= LIMIT):
                 times = np.arange(k + 1) * h
                 return Trajectory(
                     times=times,

@@ -352,6 +352,17 @@ class TestGainOverflow:
         assert captured.out == ""
         assert captured.err.startswith("error: --gamma-max 1e+306 is too large: gain ")
 
+    def test_simulate_refuses_a_gain_past_the_growth_bound(self, tmp_path):
+        # Equal initial states would stay exactly constant, but the growth
+        # bound judges the gain before any step is taken.
+        config = write_scenario(tmp_path, pair_scenario(gain=1e300, initial=(0.5, 0.5)))
+        result = TestModuleEntryPoint.run_module("simulate", config)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: key 'gain' is invalid: with gain 1e+300 a state could "
+                                 "overflow before it is checked against the divergence limit "
+                                 "1e+100\n")
+
     def test_certify_stderr_is_the_error_line_only(self, tmp_path):
         result = TestModuleEntryPoint.run_module("certify", self.config(tmp_path, CONFIG, 1e306))
         assert result.returncode == 2
@@ -619,6 +630,18 @@ class TestErrorPaths:
                         "--tol", "1e-300"])
         assert code == 2
         assert "error: tol must be at least the step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_converged_tol_exit_two(self, capsys, monkeypatch, value):
+        # Checked before the first simulation, as tol is.
+        calls = []
+        monkeypatch.setattr(fracconsensus.scenario, "simulate", calls.append)
+        code = run_cli(["critical", str(CONFIG), "--tau-lo", "0.3", "--tau-hi", "1.0",
+                        "--converged-tol", value])
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: converged_tol must be positive and finite, got {float(value)}\n")
 
     def test_zero_stride_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(fracconsensus.scenario, "simulate", no_simulation)

@@ -25,7 +25,7 @@ from fracconsensus import (
 )
 import fracconsensus.fracsolve as fracsolve
 from fracconsensus.fracsolve import (
-    DIRECT_MAX, FFT_BATCH, NEAR_MAX, SOLVE_MAX, _HistorySum, _fft_size, integral_weights,
+    DIRECT_MAX, FFT_BATCH, LIMIT, NEAR_MAX, SOLVE_MAX, _HistorySum, _fft_size, integral_weights,
 )
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
@@ -91,47 +91,48 @@ class TestIntegralWeights:
 
 
 
+def largest_admitted_input(steps):
+    """The largest stored input ``simulate``'s bound admits over ``steps``
+    steps: ``LIMIT * 32 * steps**2 * (1 + steps * grow)`` stays below
+    ``exp(709)``, and a stored input is at most ``grow * LIMIT``."""
+    return math.exp(709.0) / (32 * steps**3)
+
+
 class TestHistorySum:
     @pytest.mark.parametrize("off", [0, 1024])
     def test_fft_product_near_overflow(self, off):
-        # Alternating inputs near the overflow threshold: every output is a
-        # finite sum, but an unscaled transform of them overflows.
+        # Alternating inputs as large as simulate lets them grow over the
+        # product's steps: every transform and output stays finite.
         orders, width = [1.0, 0.6], 1024
         assert width > DIRECT_MAX
         history = _HistorySum(orders, 2 * width)
-        src = np.tile(1e306 * (-1.0) ** np.arange(width), (2, 1))
+        big = largest_admitted_input(2 * width)
+        src = np.tile(big * (-1.0) ** np.arange(width), (2, 1))
         out = np.zeros((2, width))
         history.add(out, off, width, src)
         for i, order in enumerate(orders):
-            # The oracle scales by an exact power of two as well.
-            product = np.convolve(integral_weights(order, 2 * width), np.ldexp(src[i], -600))
-            expected = np.ldexp(product[off : off + width], 600)
-            assert np.all(np.isfinite(expected))
-            assert np.max(np.abs(out[i] - expected)) <= 1e-12 * 1e306
+            expected = np.convolve(integral_weights(order, 2 * width), src[i])[off : off + width]
+            assert np.max(np.abs(out[i] - expected)) <= 1e-12 * big
 
     @pytest.mark.parametrize("off", [0, 8192])
-    def test_fft_batch_scales_each_row(self, off):
-        # One transform holds two of the three rows, so the rows near 1e306
-        # and 1e-300 share a transform: a scale shared between them would
-        # flush the small row to zero.
+    def test_fft_batch_keeps_each_row(self, off):
+        # One transform holds two of the three rows, so the rows at the
+        # largest admitted input and near 1e-300 share a transform: the
+        # small row must not be flushed to zero.
         orders, width = [0.6, 1.0, 0.3], 8192
         assert FFT_BATCH // _fft_size(2 * width) < len(orders)
         history = _HistorySum(orders, 2 * width)
         alternating = (-1.0) ** np.arange(width)
         rng = np.random.default_rng(5)
         src = np.stack([
-            1e306 * alternating,
+            largest_admitted_input(2 * width) * alternating,
             1e-300 * rng.uniform(0.5, 1.0, width) * alternating,
             np.zeros(width),
         ])
         out = np.zeros((3, width))
         history.add(out, off, width, src)
         for i, order in enumerate(orders):
-            # The oracle scales each row by its own exact power of two.
-            scale = np.frexp(np.max(np.abs(src[i])))[1]
-            product = np.convolve(integral_weights(order, 2 * width), np.ldexp(src[i], -scale))
-            expected = np.ldexp(product[off : off + width], scale)
-            assert np.all(np.isfinite(expected))
+            expected = np.convolve(integral_weights(order, 2 * width), src[i])[off : off + width]
             assert np.max(np.abs(out[i] - expected)) <= 1e-11 * np.max(np.abs(src[i]))
 
     @pytest.mark.parametrize(
@@ -644,16 +645,16 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize(
         "scenario, states_match",
         [
-            # Slow growth: the far-field FFTs sum inputs near the overflow
-            # threshold for many steps before the first state overflows.
+            # Slow growth: the far-field FFTs sum growing inputs over levels
+            # of 768 to 1952 sources before the first state passes LIMIT.
             (fractional_pair(3, 316.0, horizon=3.0), True),
             (pair_scenario(delay=0.009, gain=271.0, horizon=10.0), True),
             # Lag 60: 61-step blocks, whose in-block products are direct; the
-            # first non-finite state is the 17th of its block. Its states are
+            # first state past LIMIT is the 21st of its block. Its states are
             # compared in test_integer_fft_block_states.
             (pair_scenario(delay=0.06, gain=1e4, horizon=20.0), False),
             (fractional_pair(80, 1e5, horizon=20.0), True),
-            # The very first input overflows: nothing precedes it to redo.
+            # An initial state past LIMIT stops the run at its first step.
             (pair_scenario(delay=0.06, initial=(1e308, -1e308)), True),
             (pair_scenario(initial=(1e308, -1e308)), True),
         ],
@@ -672,7 +673,8 @@ class TestReferenceEquivalence:
     def test_integer_fft_block_states(self):
         # 61-step blocks: the in-block products are direct (up to NEAR_MAX
         # sources). Through the FFT their rounding grew to 1.16e-12 relative
-        # over this run; direct products give 9.2e-16.
+        # over the run to overflow; direct products give 6.2e-16 over the run
+        # to LIMIT.
         scenario = pair_scenario(delay=0.06, gain=1e4, horizon=20.0)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -680,16 +682,16 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize(
         "scenario, first_bad, final_panel",
         [
-            # 12-step blocks in panels of 48 steps: state 1199 is fed by
-            # input 1198, in the last block of the panel from step 1152.
-            (fractional_pair(11, 1e5), 1199, False),
-            # 5-step blocks in panels of 45 steps: 537 steps leave a final
-            # panel of 42 from step 495, whose input 531 feeds state 532.
-            (fractional_pair(4, 1e5, horizon=0.537), 532, True),
+            # 12-step blocks in panels of 48 steps: state 430 is fed by
+            # input 429, in the last block of the panel from step 384.
+            (fractional_pair(11, 5e4), 430, False),
+            # 5-step blocks in panels of 45 steps: 176 steps leave a final
+            # panel of 41 from step 135, whose input 172 feeds state 173.
+            (fractional_pair(4, 1e5, horizon=0.176), 173, True),
         ],
         ids=["panel_last_block", "final_partial_panel"],
     )
-    def test_divergence_redone_over_the_panel(self, scenario, first_bad, final_panel):
+    def test_divergence_over_the_panel(self, scenario, first_bad, final_panel):
         steps, block, span = block_layout(scenario)
         if final_panel:
             assert steps % span and first_bad - 1 >= steps - steps % span
@@ -698,32 +700,58 @@ class TestReferenceEquivalence:
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape == (2, first_bad)
-        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    def test_divergence_redone_over_the_widest_direct_block(self):
+    def test_divergence_over_the_widest_direct_block(self):
         # Lag 127: 128-step blocks, the longest whose in-block products are
-        # direct; the first non-finite state is the 64th of its block, and
-        # the redo takes add's direct branch at width 128.
-        scenario = fractional_pair(127, 1e4, horizon=20.0)
+        # direct; the first state past LIMIT is the 64th of its block.
+        scenario = fractional_pair(127, 6925.0, horizon=20.0)
         assert block_layout(scenario)[1:] == (NEAR_MAX, NEAR_MAX)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert ref.diverged_at is not None
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
         assert (traj.states.shape[1] - 1) % NEAR_MAX == 63
-        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_divergent_fractional_pair_mid_block(self):
-        # Lag 9: ten-step blocks; the first non-finite state is step 1014,
+        # Lag 9: ten-step blocks; the first state past LIMIT is step 394,
         # the fourth of its block.
-        scenario = fractional_pair(9, 1e5)
+        scenario = fractional_pair(9, 3e4)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert ref.diverged_at is not None
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
         assert (traj.states.shape[1] - 1) % 10 == 3
-        assert np.all(np.isfinite(traj.states))
+        assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
 
+    def test_divergence_in_the_second_solved_sub_block(self):
+        # The mixed-lags golden at gain 1000: 3-step blocks, 48-step panels
+        # solved in two 24-step sub-blocks; the first state past LIMIT is
+        # step 416, fed by input 415 in the second sub-block of its panel.
+        golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
+        scenario = replace(golden, gain=1000.0)
+        steps, block, span = block_layout(scenario)
+        size = sub_block(scenario)
+        assert (block, span, size) == (3, 48, 24)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape == (8, 416)
+        assert 415 % span // size == 1
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_divergence_in_a_far_field_fft_level(self):
+        # Lag 3: 4-step blocks in 48-step panels. Panel 8 (steps 384 to 431)
+        # is first fed by the level of panels 0 to 7, an FFT product over 384
+        # sources; its input 427 feeds step 428, the first past LIMIT.
+        scenario = fractional_pair(3, 1e3)
+        steps, block, span = block_layout(scenario)
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape == (2, 428)
+        panel = 427 // span
+        assert panel == 8 and (panel & -panel) * span == 384 > DIRECT_MAX
+        assert max_relative_difference(traj, ref) <= 1e-12

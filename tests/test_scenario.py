@@ -539,6 +539,14 @@ class TestBisection:
         with pytest.raises(ValueError, match=name):
             bisect_critical_delay(pair_scenario(), tau_lo, tau_hi, 0.05)
 
+    @pytest.mark.parametrize("converged_tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_converged_tol_rejected_before_simulation(self, monkeypatch, converged_tol):
+        calls = []
+        monkeypatch.setattr(fracconsensus.scenario, "simulate", calls.append)
+        with pytest.raises(ValueError, match="converged_tol"):
+            bisect_critical_delay(pair_scenario(), 0.3, 1.0, 0.05, converged_tol=converged_tol)
+        assert calls == []
+
     def test_rejects_inverted_bracket(self):
         with pytest.raises(ValueError, match="tau_lo"):
             bisect_critical_delay(pair_scenario(), 1.0, 0.5, 0.05)
