@@ -18,7 +18,9 @@ where ``b`` is the power series inverse of the weights ``c``
 forward Euler: integer-order agents are the ``alpha = 1`` case, not a
 separate code path. ``simulate`` advances every agent with this sum, a
 sub-block of steps at a time: one product adds each sub-block's inputs to
-the rest of its panel, and FFTs evaluate the older history.
+the rest of its panel, and FFTs evaluate the older history of the
+fractional agents. With every weight 1, an order-1 agent's older history
+is a plain sum of its inputs, which costs O(steps) over a run.
 """
 
 from __future__ import annotations
@@ -205,22 +207,31 @@ class _HistorySum:
     product of the dyadic scheme. The weights are one row per distinct
     order, and ``rank[i]`` is agent ``i``'s row. Short products, and
     in-panel ones of up to ``NEAR_MAX`` sources, use one cached ``toeplitz``
-    matrix per width; long ones use weight transforms and transform up to
-    ``FFT_BATCH // size`` agents' rows together. The weight transforms are
-    cached per ``(off, width)`` when ``5 * width`` is below the step count,
-    which holds exactly when a far-field product recurs at least three
-    times; otherwise each batch transforms its own rows' weights. Each row
-    is its own transform, so rows of any size share a batch; ``simulate``'s
-    bound keeps every transform finite. ``add`` evaluates every product of
-    ``simulate``; ``_coupling_solve`` reads views of ``toeplitz``, since
-    ``b[i, r - m]`` does not depend on the width.
+    matrix per width. In a long product an order-1 row, whose weights are
+    all 1, adds plain sums of its sources: their total when every source
+    precedes every target (the far field), else their prefix sums. The
+    other rows use weight transforms, up to ``FFT_BATCH // size`` agents'
+    rows at a time; the FFTs serve fractional agents only. The weight
+    transforms are cached per ``(off, width)`` when ``5 * width`` is below
+    the step count, which holds exactly when a far-field product recurs at
+    least three times; otherwise each batch transforms its own rows'
+    weights. Each row is its own transform, so rows of any size share a
+    batch; ``simulate``'s bound keeps every transform and sum finite.
+    ``add`` evaluates every product of ``simulate``; ``_coupling_solve``
+    reads views of ``toeplitz``, since ``b[i, r - m]`` does not depend on
+    the width.
     """
 
     def __init__(self, orders, count: int):
         # Not np.unique: its first call imports numpy.ma (~0.6 MB traced).
-        distinct = list(dict.fromkeys(orders))
+        # Order 1 sorts last: its weights are all 1, so its agents' rows add
+        # plain sums, and the weight transforms take only the rows before it.
+        distinct = sorted(dict.fromkeys(orders), key=lambda order: order == 1.0)
         self.rank = np.array([distinct.index(order) for order in orders])
         self.weights = np.stack([integral_weights(order, count) for order in distinct])
+        self.fractional = len(distinct) - (1.0 in distinct)
+        self.summed = np.flatnonzero(self.rank == self.fractional)
+        self.transformed = np.flatnonzero(self.rank < self.fractional)
         self.toeplitzes = {}
         self.spectra = {}
 
@@ -239,19 +250,34 @@ class _HistorySum:
             mat = self.toeplitz(width)[:, off : off + rows, : src.shape[1]]
             out += np.matmul(mat, src[:, :, None])[:, :, 0]
             return
+        # An order-1 row adds the sum of the sources each target reaches:
+        # all of them when every source precedes every target.
+        if self.summed.size and off >= src.shape[1] - 1:
+            totals = src.sum(axis=1)
+            for i in self.summed:
+                out[i] += totals[i]
+        elif self.summed.size:
+            reached = min(rows, src.shape[1] - off)
+            for i in self.summed:
+                sums = np.cumsum(src[i])
+                out[i, :reached] += sums[off : off + reached]
+                out[i, reached:] += sums[-1]
+        if not self.transformed.size:
+            return
         size = _fft_size(2 * width)
         lo = max(off - width + 1, 0)
-        weights = self.weights[:, lo : off + width]
+        weights = self.weights[: self.fractional, lo : off + width]
         spectra = self.spectra.get((off, width))
         if spectra is None and 5 * width < self.weights.shape[1]:
             spectra = self.spectra[(off, width)] = np.fft.rfft(weights, size)
         batch = max(1, FFT_BATCH // size)
-        for i in range(0, out.shape[0], batch):
-            spec = np.fft.rfft(src[i : i + batch], size)
+        for k in range(0, self.transformed.size, batch):
+            i = self.transformed[k : k + batch]
+            spec = np.fft.rfft(src[i], size)
             # Each row takes the weight transform of its own order.
-            rank = self.rank[i : i + batch]
+            rank = self.rank[i]
             spec *= np.fft.rfft(weights[rank], size) if spectra is None else spectra[rank]
-            out[i : i + batch] += np.fft.irfft(spec, size)[:, off - lo : off - lo + rows]
+            out[i] += np.fft.irfft(spec, size)[:, off - lo : off - lo + rows]
 
 
 def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
@@ -317,9 +343,12 @@ def simulate(scenario: "Scenario") -> Trajectory:
     panel boundary ``p``, with ``L = p & -p``, the inputs of panels
     ``[p-L, p)`` are convolved with the weights and added to the states of
     panels ``[p, p+L)``, directly for short products and by FFT for long
-    ones. The cost is O(steps * log(steps)**2) per agent plus a fixed
-    interpreter cost per sub-block. States before t = 0 equal the initial
-    state. Delays are rounded to the nearest grid multiple.
+    ones. The FFTs serve fractional agents only: a long product of an
+    order-1 agent adds plain sums of its inputs. The cost is O(steps *
+    log(steps)**2) per fractional agent and O(steps) per order-1 agent in
+    the products past ``NEAR_MAX`` sources, plus a fixed interpreter cost
+    per sub-block. States before t = 0 equal the initial state. Delays are
+    rounded to the nearest grid multiple.
 
     Stepping stops early with ``diverged_at`` set at the first step where
     some ``|x_i|`` exceeds ``LIMIT`` (the first, if ``x(0)`` does). Each
@@ -330,11 +359,15 @@ def simulate(scenario: "Scenario") -> Trajectory:
     h**order``, and each ``b_j <= 1``: a state not yet final is at most
     ``LIMIT * (1 + steps * grow)``. Each of a panel's ``span // size``
     solves multiplies that by at most ``1 + size * norm * grow``, ``norm``
-    its matrix's row-sum norm. A gathered input before ``h**order``, and
-    an FFT product (size below ``8 * steps``, weights summing to at most
-    ``4 * steps``), stay within ``max(2 * max degree * max(gain, 1), 32 *
-    steps**2)`` times that bound; a scenario whose product reaches
-    ``exp(709)`` is refused, naming ``key 'gain'``.
+    its matrix's row-sum norm. A gathered input sums terms ``-gain *
+    h**order * a_ij`` times a difference of states, at most ``grow`` times
+    that bound in all. An FFT product (size below ``8 * steps``, weights
+    summing to at most ``4 * steps``) and an order-1 row's plain sum
+    (weights summing to ``width <= steps``) stay within ``max(2 * max
+    degree * max(gain, 1), 32 * steps**2)`` times that bound, as does a
+    gathered input when ``h <= 1``; a scenario whose product reaches
+    ``exp(709)`` is refused, naming ``key 'edges'`` when the largest degree
+    exceeds the gain and ``key 'gain'`` otherwise.
     """
     g = scenario.graph
     n = g.n
@@ -388,11 +421,16 @@ def simulate(scenario: "Scenario") -> Trajectory:
     reach = (math.log(LIMIT * max(2 * degree * max(gain, 1.0), 32 * steps**2))
              + math.log1p(steps * grow) + span // size * math.log1p(size * norm * grow))
     if not reach < 709.0:
-        raise ValueError(f"key 'gain' is invalid: with gain {gain:.6g} a state could overflow "
-                         f"before it is checked against the divergence limit {LIMIT:g}")
+        # Blame the larger factor of the loop gain gain * degree.
+        key, what = ("edges", "largest weighted in-degree") if degree > gain else ("gain", "gain")
+        raise ValueError(f"key '{key}' is invalid: with {what} {max(degree, gain):.6g} a state "
+                         f"could overflow before it is checked against the divergence limit "
+                         f"{LIMIT:g}")
 
     flat = states.reshape(-1)
-    coupling = w.T[:, :, None]
+    # coupling[j, i] = -gain * h**order_i * a_ij, so a gather sums the
+    # weighted lagged differences straight into the inputs.
+    coupling = (-gain * w * step_pow).T[:, :, None]
     # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
     # start + t, over up to two sub-blocks when a solve gathers its own
     # again; own[i] = other[i, i].
@@ -406,8 +444,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
         lagged = flat[start:].take(other[:, :, : stop - start])
         np.subtract(flat[start:].take(own[:, : stop - start]), lagged, out=lagged)
         np.multiply(coupling, lagged, out=lagged)
-        u = -gain * np.add.reduce(lagged, axis=0)
-        np.multiply(step_pow, u, out=inputs[:, start:stop])
+        np.add.reduce(lagged, axis=0, out=inputs[:, start:stop])
 
     for p in range(panels):
         first = p * span

@@ -363,6 +363,21 @@ class TestGainOverflow:
                                  "overflow before it is checked against the divergence limit "
                                  "1e+100\n")
 
+    def test_simulate_names_edges_that_carry_the_loop_gain(self, tmp_path):
+        # Loop gain 1e50 from weights 1e200 and gain 1e-150: the weights,
+        # not the tiny gain, are what the refusal must point at.
+        scenario = pair_scenario(gain=1e-150)
+        payload = scenario_to_dict(scenario)
+        payload["edges"] = [[1, 2, 1e200], [2, 1, 1e200]]
+        config = tmp_path / "huge_weights.json"
+        config.write_text(json.dumps(payload))
+        result = TestModuleEntryPoint.run_module("simulate", str(config))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: key 'edges' is invalid: with largest weighted in-degree "
+                                 "1e+200 a state could overflow before it is checked against "
+                                 "the divergence limit 1e+100\n")
+
     def test_certify_stderr_is_the_error_line_only(self, tmp_path):
         result = TestModuleEntryPoint.run_module("certify", self.config(tmp_path, CONFIG, 1e306))
         assert result.returncode == 2
@@ -568,6 +583,16 @@ class TestCriticalCommand:
         assert "critical delay estimate:" in printed
         value = float(printed.split(":")[1])
         assert 0.55 < value < 0.95
+
+    @pytest.mark.parametrize("config, tau_lo, printed", [
+        # Mixed orders: order-1 sums and fractional FFTs in one run.
+        (CONFIG, "0.3", "critical delay estimate: 0.614453\n"),
+        # All order 1 over 201-step blocks: every product is a plain sum.
+        (GOLDEN / "symmetric_integer_4agent.json", "0.1", "critical delay estimate: 0.370703\n"),
+    ], ids=["shipped_config", "symmetric_integer"])
+    def test_pinned_estimates(self, capsys, config, tau_lo, printed):
+        assert run_cli(["critical", str(config), "--tau-lo", tau_lo, "--tau-hi", "1.0"]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_bad_bracket_exit_two(self, tmp_path, capsys):
         config = write_scenario(tmp_path, pair_scenario(step=1e-2, horizon=2.0))

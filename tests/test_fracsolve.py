@@ -118,8 +118,9 @@ class TestHistorySum:
     def test_fft_batch_keeps_each_row(self, off):
         # One transform holds two of the three rows, so the rows at the
         # largest admitted input and near 1e-300 share a transform: the
-        # small row must not be flushed to zero.
-        orders, width = [0.6, 1.0, 0.3], 8192
+        # small row must not be flushed to zero. All three are fractional,
+        # as an order-1 row adds a plain sum and takes no transform.
+        orders, width = [0.6, 0.9, 0.3], 8192
         assert FFT_BATCH // _fft_size(2 * width) < len(orders)
         history = _HistorySum(orders, 2 * width)
         alternating = (-1.0) ** np.arange(width)
@@ -153,6 +154,28 @@ class TestHistorySum:
             assert bool(history.spectra) == (count > 5 * width)
             outs.append(out)
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    @pytest.mark.parametrize("off, cols", [(0, 200), (0, 70), (200, 200)])
+    def test_order_one_rows_add_plain_sums(self, off, cols):
+        # Weights all 1: an in-panel product over more than NEAR_MAX sources
+        # is the prefix sum of its sources (targets past the last source
+        # take them all), a far-field product their total. The fractional
+        # row between them still runs through the FFT.
+        orders, width = [1.0, 0.7, 1.0], 200
+        assert width > NEAR_MAX
+        history = _HistorySum(orders, 2 * width)
+        src = np.random.default_rng(cols + off).uniform(-1.0, 1.0, (len(orders), cols))
+        out = np.zeros((len(orders), width))
+        history.add(out, off, width, src)
+        sums = np.cumsum(src, axis=1)
+        for i, order in enumerate(orders):
+            if order == 1.0:
+                expected = sums[i, np.minimum(np.arange(off, off + width), cols - 1)]
+                tol = 1e-15 * np.abs(src[i]).sum()
+            else:
+                expected = np.convolve(integral_weights(order, 2 * width), src[i])[off : off + width]
+                tol = 1e-13
+            assert np.max(np.abs(out[i] - expected)) <= tol
 
     @pytest.mark.parametrize("block, span", [(1, 48), (3, 48), (5, 45), (61, 61), (128, 128)])
     def test_near_field_views_match_add(self, block, span):
@@ -606,6 +629,29 @@ class TestReferenceEquivalence:
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
 
+    @pytest.mark.parametrize("scenario", [
+        # Lag 200: 201-step blocks, so in-panel products past NEAR_MAX, and
+        # far-field levels of up to 6432 sources.
+        parse_scenario(Path(__file__).parent / "golden" / "symmetric_integer_4agent.json"),
+        # Lag 5: solved sub-blocks and far-field levels of up to 3072 sources.
+        pair_scenario(delay=0.005, horizon=5.0),
+    ], ids=["long_blocks", "short_lags"])
+    def test_order_one_runs_without_transforms(self, scenario, monkeypatch):
+        # Every weight of an order-1 agent is 1, so no product needs an FFT.
+        assert {agent.order for agent in scenario.agents} == {1.0}
+        assert widest_level(scenario) > 32 * DIRECT_MAX
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("an order-1 run took an FFT")
+
+        monkeypatch.setattr(fracsolve.np.fft, "rfft", no_transform)
+        traj = simulate(scenario)
+        monkeypatch.undo()
+        ref = reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
     def test_divergent_pair(self):
         scenario = pair_scenario(delay=0.01, gain=1e6, horizon=2.0)
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -635,7 +681,8 @@ class TestReferenceEquivalence:
 
     def test_equal_lags_past_half_the_horizon(self):
         # 300 steps, every lag 200: two blocks of 201 steps, whose in-block
-        # and far-field products both run through the FFT.
+        # and far-field products both run through the FFT for the order-0.9
+        # agents and as plain sums for the order-1 ones.
         scenario = demo_scenario(delay=0.2, step=1e-3, horizon=0.3)
         assert widest_level(scenario) == 201 > DIRECT_MAX
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -645,7 +692,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize(
         "scenario, states_match",
         [
-            # Slow growth: the far-field FFTs sum growing inputs over levels
+            # Slow growth: the far-field products sum growing inputs over levels
             # of 768 to 1952 sources before the first state passes LIMIT.
             (fractional_pair(3, 316.0, horizon=3.0), True),
             (pair_scenario(delay=0.009, gain=271.0, horizon=10.0), True),
