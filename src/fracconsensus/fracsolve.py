@@ -17,17 +17,17 @@ where ``b`` is the power series inverse of the weights ``c``
 (``integral_weights``). For ``alpha = 1`` every ``b_j = 1`` and the sum is
 forward Euler: integer-order agents are the ``alpha = 1`` case, not a
 separate code path. ``simulate`` advances every agent with this sum, a
-sub-block of steps at a time: one product adds each sub-block's inputs to
-the rest of its panel, and FFTs evaluate the older history of the
-fractional agents. With every weight 1, an order-1 agent's older history
-is a plain sum of its inputs, which costs O(steps) over a run.
+panel of steps at a time: dense Toeplitz products carry a panel's own and
+the previous panel's inputs, and every older input arrives through running
+sums over the rates of a sum of exponentials that equals ``b_j`` past a
+panel (``_exponential_sum``). Order 1 is the single rate 0, whose running
+sum is the plain sum of the inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -163,121 +163,63 @@ def integral_weights(order: float, count: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], (j - 1.0 + order) / j)))
 
 
-@lru_cache(maxsize=None)
-def _fft_size(n: int) -> int:
-    """Smallest ``2**a * 3**b * 5**c`` that is at least ``n``."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+def _gauss(diagonal, offdiagonal, mass: float):
+    """Nodes and weights of the Gauss rule for a weight of total mass
+    ``mass`` whose Jacobi matrix has this diagonal and off-diagonal
+    (Golub and Welsch, 1969); ``eigh`` reads the lower triangle only."""
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(offdiagonal, -1))
+    return nodes, mass * vectors[0] ** 2
 
 
-# History products over at most this many sources run as dense Toeplitz
-# matrix products, and blocks shorter than this are grouped into panels of up
-# to this many steps; longer products run through the FFT, except in-panel
-# ones of up to NEAR_MAX sources, whose FFT rounding grows over a long run.
+def _exponential_sum(order: float, steps: int, span: int):
+    """Rates ``x`` and weights ``w`` with ``sum_k w_k * exp(-x_k * j)`` equal
+    to ``integral_weights(order, steps)[j]`` to rounding for ``span < j <
+    steps``.
+
+    The weights are moments (Jiang, Zhang, Zhang and Zhang, 2017):
+
+        b_j = sin(pi*order)/pi
+              * int_0^inf exp(-x*j) * exp(-x*order) * (1 - exp(-x))**-order dx.
+
+    A 14-point Gauss-Jacobi rule for the weight ``x**-order`` covers ``[0,
+    1/steps]``, and 14-point Gauss-Legendre rules cover ``[c, 3c]`` from
+    there until past ``40 / (span + 1)``, beyond which ``exp(-x*j)`` is
+    below ``e**-40``. At order 1 the sum is one rate, 0, with weight 1.
+    """
+    if order == 1.0:
+        return np.zeros(1), np.ones(1)
+    # Written in a and c = 1 - a, no entry loses digits as a nears 0 or 1.
+    a, c = order, 1.0 - order
+    n = np.arange(14.0)
+    k = n[1:]
+    # The Jacobi matrix of the weight s**-a on [0, 1], of mass 1 / c.
+    s, w = _gauss((2 * n * (n + c) - a * c) / ((2 * n - a) * (2 * n + 1 + c)),
+                  k * (k - 1 + c) / ((2 * k - 1 + c) * np.sqrt((2 * k - 2 + c) * (2 * k + c))),
+                  1.0 / c)
+    lo = 1.0 / steps
+    rates = [lo * s]
+    weights = [lo**c * w * np.exp(-a * lo * s) * (lo * s / -np.expm1(-lo * s)) ** a]
+    y, w = _gauss(np.zeros(14), k / np.sqrt(4 * k * k - 1), 2.0)
+    while lo < 40 / (span + 1):
+        x = lo * (2 + y)
+        rates.append(x)
+        weights.append(lo * w * np.exp(-a * x) * (-np.expm1(-x)) ** -a)
+        lo *= 3
+    # sin(pi * (1 - a)) would lose accuracy at small a.
+    scale = math.sin(math.pi * min(a, c)) / math.pi
+    return np.concatenate(rates), scale * np.concatenate(weights)
+
+
+# A panel of up to this many steps takes its own and the previous panel's
+# inputs as dense Toeplitz products; older inputs arrive through the running
+# sums of ``_exponential_sum``.
 DIRECT_MAX = 48
-NEAR_MAX = 128
 # A panel's sub-blocks are as long as their solve matrix (``_coupling_solve``)
 # keeps within this many entries.
 SOLVE_MAX = 2**15
-# An FFT product of transform size ``size`` transforms ``max(1, FFT_BATCH //
-# size)`` agents' rows at once, which bounds the memory of the widest levels.
-FFT_BATCH = 2**15
 # A run diverges at the first step where some state exceeds this in
 # magnitude; ``simulate`` refuses a scenario that could overflow before then.
 LIMIT = 1e100
-
-
-class _HistorySum:
-    """Adds ``sum_m b[i, off + t - m] * src[i, m]`` to ``out[i, t]``, where
-    ``b[i]`` are the ``integral_weights`` of agent ``i``'s order (zero at
-    negative indices) and ``0 <= off <= width``.
-
-    ``width`` is the number of sources of a full product: ``off < width``
-    gives the in-panel (near-field) products, ``off = width`` the far-field
-    product of the dyadic scheme. The weights are one row per distinct
-    order, and ``rank[i]`` is agent ``i``'s row. Short products, and
-    in-panel ones of up to ``NEAR_MAX`` sources, use one cached ``toeplitz``
-    matrix per width. In a long product an order-1 row, whose weights are
-    all 1, adds plain sums of its sources: their total when every source
-    precedes every target (the far field), else their prefix sums. The
-    other rows use weight transforms, up to ``FFT_BATCH // size`` agents'
-    rows at a time; the FFTs serve fractional agents only. The weight
-    transforms are cached per ``(off, width)`` when ``5 * width`` is below
-    the step count, which holds exactly when a far-field product recurs at
-    least three times; otherwise each batch transforms its own rows'
-    weights. Each row is its own transform, so rows of any size share a
-    batch; ``simulate``'s bound keeps every transform and sum finite.
-    ``add`` evaluates every product of ``simulate``; ``_coupling_solve``
-    reads views of ``toeplitz``, since ``b[i, r - m]`` does not depend on
-    the width.
-    """
-
-    def __init__(self, orders, count: int):
-        # Not np.unique: its first call imports numpy.ma (~0.6 MB traced).
-        # Order 1 sorts last: its weights are all 1, so its agents' rows add
-        # plain sums, and the weight transforms take only the rows before it.
-        distinct = sorted(dict.fromkeys(orders), key=lambda order: order == 1.0)
-        self.rank = np.array([distinct.index(order) for order in orders])
-        self.weights = np.stack([integral_weights(order, count) for order in distinct])
-        self.fractional = len(distinct) - (1.0 in distinct)
-        self.summed = np.flatnonzero(self.rank == self.fractional)
-        self.transformed = np.flatnonzero(self.rank < self.fractional)
-        self.toeplitzes = {}
-        self.spectra = {}
-
-    def toeplitz(self, width: int) -> np.ndarray:
-        """``mat[i, r, m] = b[i, r - m]``, ``2 * width`` rows by ``width``."""
-        mat = self.toeplitzes.get(width)
-        if mat is None:
-            idx = np.arange(2 * width)[:, None] - np.arange(width)
-            mats = np.where(idx < 0, 0.0, self.weights.take(idx, axis=1, mode="clip"))
-            mat = self.toeplitzes[width] = mats[self.rank]
-        return mat
-
-    def add(self, out: np.ndarray, off: int, width: int, src: np.ndarray):
-        rows = out.shape[1]
-        if width <= DIRECT_MAX or off < width <= NEAR_MAX:
-            mat = self.toeplitz(width)[:, off : off + rows, : src.shape[1]]
-            out += np.matmul(mat, src[:, :, None])[:, :, 0]
-            return
-        # An order-1 row adds the sum of the sources each target reaches:
-        # all of them when every source precedes every target.
-        if self.summed.size and off >= src.shape[1] - 1:
-            totals = src.sum(axis=1)
-            for i in self.summed:
-                out[i] += totals[i]
-        elif self.summed.size:
-            reached = min(rows, src.shape[1] - off)
-            for i in self.summed:
-                sums = np.cumsum(src[i])
-                out[i, :reached] += sums[off : off + reached]
-                out[i, reached:] += sums[-1]
-        if not self.transformed.size:
-            return
-        size = _fft_size(2 * width)
-        lo = max(off - width + 1, 0)
-        weights = self.weights[: self.fractional, lo : off + width]
-        spectra = self.spectra.get((off, width))
-        if spectra is None and 5 * width < self.weights.shape[1]:
-            spectra = self.spectra[(off, width)] = np.fft.rfft(weights, size)
-        batch = max(1, FFT_BATCH // size)
-        for k in range(0, self.transformed.size, batch):
-            i = self.transformed[k : k + batch]
-            spec = np.fft.rfft(src[i], size)
-            # Each row takes the weight transform of its own order.
-            rank = self.rank[i]
-            spec *= np.fft.rfft(weights[rank], size) if spectra is None else spectra[rank]
-            out[i] += np.fft.irfft(spec, size)[:, off - lo : off - lo + rows]
 
 
 def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
@@ -331,39 +273,42 @@ def simulate(scenario: "Scenario") -> Trajectory:
     with the weights of ``integral_weights`` (all 1 for an integer-order
     agent, whose update is then forward Euler). Since ``u_k`` reads states
     at least ``min lag`` steps old, a block of ``min lag + 1`` inputs can
-    be formed at once from known states. Short blocks are grouped into
-    panels of up to ``DIRECT_MAX`` steps, and each panel into sub-blocks:
-    the longest multiple of the block that divides the panel and whose
-    ``_coupling_solve`` matrix fits in ``SOLVE_MAX`` entries. A sub-block
-    gathers its inputs from the states it reads, solves for the inputs of
-    the agents that read its own states (a sub-block of one block solves
-    nothing), and adds them to every later state of its panel with one
-    ``_HistorySum.add`` product. The sums over earlier panels come from a
-    dyadic online convolution (Hairer, Lubich and Schlichte, 1985): at
-    panel boundary ``p``, with ``L = p & -p``, the inputs of panels
-    ``[p-L, p)`` are convolved with the weights and added to the states of
-    panels ``[p, p+L)``, directly for short products and by FFT for long
-    ones. The FFTs serve fractional agents only: a long product of an
-    order-1 agent adds plain sums of its inputs. The cost is O(steps *
-    log(steps)**2) per fractional agent and O(steps) per order-1 agent in
-    the products past ``NEAR_MAX`` sources, plus a fixed interpreter cost
-    per sub-block. States before t = 0 equal the initial state. Delays are
+    be formed at once from known states. Steps are cut into panels: the
+    longest multiple of the block within ``DIRECT_MAX`` steps, or, for a
+    longer block, ``ceil(block / DIRECT_MAX)`` equal panels within it. A
+    panel's states take its own and the previous panel's inputs as dense
+    Toeplitz products; every older input arrives through running sums over
+    the rates of ``_exponential_sum``, decayed by ``exp(-rate * span)`` once
+    per panel (order 1 is the single rate 0: a plain sum). The agents share
+    one set of rates, as only 14 of an order's rates depend on it, so one
+    matrix product per panel feeds every agent's sums and one reads them. A
+    block longer than ``DIRECT_MAX`` advances its panels at once, with a
+    log-depth scan of the sums across them. A panel of shorter
+    blocks goes in sub-blocks: the longest multiple of the block that
+    divides the panel and whose ``_coupling_solve`` matrix fits in
+    ``SOLVE_MAX`` entries. A sub-block gathers its inputs from the states
+    it reads, solves for the inputs of the agents that read its own states
+    (a sub-block of one block solves nothing), and adds them to every later
+    state of its panel. The cost is O(steps * rates) per agent (140 rates
+    per order at 20000 steps) plus a fixed interpreter cost per panel or
+    long block. States before t = 0 equal the initial state. Delays are
     rounded to the nearest grid multiple.
 
     Stepping stops early with ``diverged_at`` set at the first step where
     some ``|x_i|`` exceeds ``LIMIT`` (the first, if ``x(0)`` does). Each
     sub-block is checked right after its product, before a solve's inputs
-    are gathered again from its final states. Nothing overflows before
-    that check. With the checked states within ``LIMIT``, a stored input
-    is at most ``grow * LIMIT``, ``grow = 2 * gain * max degree * max
-    h**order``, and each ``b_j <= 1``: a state not yet final is at most
-    ``LIMIT * (1 + steps * grow)``. Each of a panel's ``span // size``
-    solves multiplies that by at most ``1 + size * norm * grow``, ``norm``
-    its matrix's row-sum norm. A gathered input sums terms ``-gain *
-    h**order * a_ij`` times a difference of states, at most ``grow`` times
-    that bound in all. An FFT product (size below ``8 * steps``, weights
-    summing to at most ``4 * steps``) and an order-1 row's plain sum
-    (weights summing to ``width <= steps``) stay within ``max(2 * max
+    are gathered again from its final states, and a long block once, after
+    its products. Nothing overflows before that check. With the checked
+    states within ``LIMIT``, a stored input is at most ``grow * LIMIT``,
+    ``grow = 2 * gain * max degree * max h**order``, and each ``b_j <=
+    1``: a state not yet final is at most ``LIMIT * (1 + steps * grow)``.
+    Each of a panel's ``span // size`` solves multiplies that by at most
+    ``1 + size * norm * grow``, ``norm`` its matrix's row-sum norm. A
+    gathered input sums terms ``-gain * h**order * a_ij`` times a
+    difference of states, at most ``grow`` times that bound in all. A
+    running sum adds stored inputs with factors of at most 1, and the
+    weights a state takes from the sums are positive and add up to about
+    ``b_j <= 1``: the sums and every product stay within ``max(2 * max
     degree * max(gain, 1), 32 * steps**2)`` times that bound, as does a
     gathered input when ``h <= 1``; a scenario whose product reaches
     ``exp(709)`` is refused, naming ``key 'edges'`` when the largest degree
@@ -375,7 +320,8 @@ def simulate(scenario: "Scenario") -> Trajectory:
     gain = scenario.gain
     h = scenario.solver.step
     x0 = np.asarray(scenario.initial, dtype=float)
-    step_pow = np.array([h ** agent.order for agent in scenario.agents])[:, None]
+    orders = [agent.order for agent in scenario.agents]
+    step_pow = np.array([h**order for order in orders])[:, None]
 
     # A step count beyond what numpy can allocate (a step tiny against the
     # horizon) is reported against the scenario key that set it.
@@ -387,11 +333,19 @@ def simulate(scenario: "Scenario") -> Trajectory:
         pad = int(lags.max())
         base = pad - lags
         block = int(lags.min()) + 1
-        history = _HistorySum([agent.order for agent in scenario.agents], steps)
-        # Columns past the current block hold x(0) plus the far-field sums
-        # added so far; a column is final once its block is done.
-        states = np.repeat(x0[:, None], pad + steps + 1, axis=1)
-        inputs = np.empty((n, steps))
+        # A panel is the longest multiple of the block within DIRECT_MAX
+        # steps; a longer block is ``count`` equal panels, a group of
+        # ``stride`` steps advanced at once.
+        count = -(-block // DIRECT_MAX)
+        span = DIRECT_MAX // block * block or block // count
+        stride = count * span
+        # Columns past the current group hold x(0) plus the sums added so
+        # far; a column is final once its group is done. One panel past the
+        # last group takes what that group feeds forward, and inputs past
+        # the last step stay zero.
+        states = np.repeat(x0[:, None], pad + -(-steps // stride) * stride + span + 1, axis=1)
+        inputs = np.empty((n, states.shape[1] - pad - span - 1))
+        inputs[:, steps:] = 0.0
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ValueError(
             f"key 'solver' is invalid: {scenario.solver.horizon / h:.3g} steps "
@@ -400,21 +354,45 @@ def simulate(scenario: "Scenario") -> Trajectory:
     if np.abs(x0).max() > LIMIT:
         return Trajectory(times=np.zeros(1), states=x0[:, None], diverged_at=h)
 
-    # Short blocks are grouped into panels of up to DIRECT_MAX steps: the
-    # history inside a panel is direct Toeplitz products, and the dyadic
-    # scheme runs over panels.
-    span = max(1, DIRECT_MAX // block) * block
-    panels = -(-steps // span)
-    # Sub-blocks: the longest multiple of the block that divides the panel
-    # and keeps the solve for the agents with lag + 1 < s within SOLVE_MAX.
-    size = max(s for s in range(block, span + 1, block)
-               if span % s == 0 and np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX)
+    # near[i, r, m] = b_i[r - m] for r < 2 * span (zero above the diagonal).
+    gap = np.arange(2 * span)[:, None] - np.arange(span)
+    near = np.where(gap < 0, 0.0, np.array([integral_weights(order, 2 * span)
+                                            for order in orders])[:, gap])
+    # A panel's inputs, in the rows of one product per agent with table,
+    # reach its own states (the first span columns) and the next panel's.
+    table = np.ascontiguousarray(near.transpose(0, 2, 1))
+    # One set of rates serves every agent: the Gauss-Legendre rates are the
+    # same for every order, and an agent weighs the other orders' rates by 0.
+    fits = {order: _exponential_sum(order, steps, span) for order in set(orders)}
+    rates = np.array(sorted(set(np.concatenate([x for x, _ in fits.values()]).tolist())))
+    factors = np.zeros((n, rates.size))
+    for i, order in enumerate(orders):
+        x, weight = fits[order]
+        factors[i, np.searchsorted(rates, x)] = weight
+    t = np.arange(span)
+    # A panel's inputs times push add to the running sums, taken at the end
+    # of the panel; sums taken at the start of panel p - 1, weighed by the
+    # factors, times pull add to the states of panel p + 1.
+    push = np.exp(-rates * (span - t)[:, None])
+    pull = np.exp(-rates[:, None] * (span + t))
+    # The scan's steps: shift by ``shift`` panels, decayed over them.
+    decays = [(1 << d, np.exp(-rates * (span << d))) for d in range(count.bit_length())]
+    # scan[c]: the running sums over the inputs before panel c of the group,
+    # taken at its start; scan[0] carries them to the next group.
+    scan = np.zeros((count + 1, n, rates.size))
+
+    # Sub-blocks: the longest multiple of the block that divides the group
+    # and keeps the solve for the agents with lag + 1 < s within SOLVE_MAX;
+    # a long block's group is one sub-block.
+    size = max((s for s in range(block, stride + 1, block)
+                if stride % s == 0 and np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX),
+               default=stride)
     solve, norm = None, 0.0
     if size > block:
         # An absurd gain overflows the matrix; the bound below refuses it.
         with np.errstate(over="ignore", invalid="ignore"):
             coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
-            solve = _coupling_solve(coef, lags, history.toeplitz(span), size, block)
+            solve = _coupling_solve(coef, lags, near, size, block)
             norm = float(np.abs(solve[1]).sum(axis=(2, 3)).max())
     degree = float(w.sum(axis=1).max())
     grow = 2 * gain * degree * float(step_pow.max())
@@ -446,15 +424,27 @@ def simulate(scenario: "Scenario") -> Trajectory:
         np.multiply(coupling, lagged, out=lagged)
         np.add.reduce(lagged, axis=0, out=inputs[:, start:stop])
 
-    for p in range(panels):
-        first = p * span
-        last = min(first + span, steps)
-        if p:
-            # Far field: level L runs at panels L, 3L, 5L, ...
-            width = (p & -p) * span
-            end = min(first + width, steps)
-            history.add(states[:, pad + first + 1 : pad + end + 1], width, width,
-                        inputs[:, first - width : first])
+    def advance(first, skip):
+        # The group's inputs reach its own panels (unless its sub-blocks
+        # added them: skip = span), the panel after each, and the sums.
+        u = inputs[:, first : first + stride].reshape(n, count, span)
+        out = np.matmul(u, table[:, :, skip:])
+        panels = states[:, pad + first + 1 : pad + first + stride + span + 1]
+        panels = panels.reshape(n, count + 1, span)
+        if not skip:
+            panels[:, :count] += out[:, :, :span]
+        np.matmul(u.transpose(1, 0, 2), push, out=scan[1:])
+        for shift, decay in decays:
+            scan[shift:] += decay * scan[:-shift]
+        far = np.matmul(scan[:count] * factors, pull).transpose(1, 0, 2)
+        panels[:, 1:] += out[:, :, span - skip :] + far
+        scan[0] = scan[count]
+
+    # Short blocks add each sub-block's inputs to its panel as they are
+    # solved; otherwise a group is one sub-block, added by ``advance``.
+    stepped = size < stride or solve is not None
+    for first in range(0, steps, stride):
+        last = min(first + stride, steps)
         gather(first, min(first + size, last))
         for start in range(first, last, size):
             stop = min(start + size, last)
@@ -465,7 +455,12 @@ def simulate(scenario: "Scenario") -> Trajectory:
                 v, m = inputs[:, start:stop], stop - start
                 q = q[:, :m, :, :m].reshape(-1, v.size)
                 inputs[fast, start:stop] = (q @ v.reshape(-1)).reshape(fast.size, m)
-            history.add(states[:, pad + start + 1 : pad + last + 1], 0, span, inputs[:, start:stop])
+            if stepped:
+                rest = states[:, pad + start + 1 : pad + last + 1]
+                rest += np.matmul(near[:, : last - start, : stop - start],
+                                  inputs[:, start:stop, None])[:, :, 0]
+            else:
+                advance(first, 0)
             done = states[:, pad + start + 1 : pad + stop + 1]
             if max(done.max(), -done.min()) > LIMIT:
                 k = start + 1 + int(np.argmax((np.abs(done) > LIMIT).any(axis=0)))
@@ -476,5 +471,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
             lo, hi = start if solve else stop, min(stop + size, last)
             if lo < hi:
                 gather(lo, hi)
+        if stepped:
+            advance(first, span)
 
-    return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad:])
+    return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad : pad + steps + 1])

@@ -172,8 +172,8 @@ class TestGoldenOutput:
     # stderr. symmetric_mixed_4agent is left out: it does not converge, and
     # simulate exits 1 on it. mixed_lags_8agent is shaped like the benchmark's
     # simulate jobs: 3-step blocks in 48-step panels, lags up to 541 steps.
-    # long_block_6agent (lags 80-310 steps) has 81-step blocks, whose
-    # in-panel products take _HistorySum.add's direct branch above DIRECT_MAX.
+    # long_block_6agent (lags 80-310 steps) has 81-step blocks, longer than
+    # DIRECT_MAX and advanced as two 40-step panels at a time.
     @pytest.mark.parametrize(
         "config, verdict",
         [

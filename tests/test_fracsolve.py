@@ -7,6 +7,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -25,7 +26,7 @@ from fracconsensus import (
 )
 import fracconsensus.fracsolve as fracsolve
 from fracconsensus.fracsolve import (
-    DIRECT_MAX, FFT_BATCH, LIMIT, NEAR_MAX, SOLVE_MAX, _HistorySum, _fft_size, integral_weights,
+    DIRECT_MAX, LIMIT, SOLVE_MAX, _exponential_sum, _gauss, integral_weights,
 )
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
@@ -91,109 +92,78 @@ class TestIntegralWeights:
 
 
 
-def largest_admitted_input(steps):
-    """The largest stored input ``simulate``'s bound admits over ``steps``
-    steps: ``LIMIT * 32 * steps**2 * (1 + steps * grow)`` stays below
-    ``exp(709)``, and a stored input is at most ``grow * LIMIT``."""
-    return math.exp(709.0) / (32 * steps**3)
+def exact_integral_weights(order, first, stop):
+    """``b_j`` for ``first <= j < stop`` at 30 digits: ``b_first`` from
+    log-gamma functions of exact mpf arguments, then ``b_j = b_{j-1} * (j -
+    1 + order) / j``."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(order)
+        b = mpmath.exp(mpmath.loggamma(first + a) - mpmath.loggamma(a) - mpmath.loggamma(first + 1))
+        values = [b]
+        for j in range(first + 1, stop):
+            b = b * (j - 1 + a) / j
+            values.append(b)
+        return np.array([float(v) for v in values])
 
 
-class TestHistorySum:
-    @pytest.mark.parametrize("off", [0, 1024])
-    def test_fft_product_near_overflow(self, off):
-        # Alternating inputs as large as simulate lets them grow over the
-        # product's steps: every transform and output stays finite.
-        orders, width = [1.0, 0.6], 1024
-        assert width > DIRECT_MAX
-        history = _HistorySum(orders, 2 * width)
-        big = largest_admitted_input(2 * width)
-        src = np.tile(big * (-1.0) ** np.arange(width), (2, 1))
-        out = np.zeros((2, width))
-        history.add(out, off, width, src)
-        for i, order in enumerate(orders):
-            expected = np.convolve(integral_weights(order, 2 * width), src[i])[off : off + width]
-            assert np.max(np.abs(out[i] - expected)) <= 1e-12 * big
+class TestExponentialSum:
+    @pytest.mark.parametrize("order", [1e-6, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999, 0.9999999])
+    def test_matches_exact_weights_past_the_panel(self, order):
+        # The running sums carry every weight b_j with span < j < steps.
+        for steps, span in [(300, 25), (20000, 48)]:
+            rates, weights = _exponential_sum(order, steps, span)
+            assert np.all(rates >= 0.0) and np.all(weights > 0.0)
+            j = np.arange(span + 1, steps)
+            fit = np.exp(-np.outer(j, rates)) @ weights
+            exact = exact_integral_weights(order, span + 1, steps)
+            assert np.max(np.abs(fit - exact) / exact) <= 1e-14
 
-    @pytest.mark.parametrize("off", [0, 8192])
-    def test_fft_batch_keeps_each_row(self, off):
-        # One transform holds two of the three rows, so the rows at the
-        # largest admitted input and near 1e-300 share a transform: the
-        # small row must not be flushed to zero. All three are fractional,
-        # as an order-1 row adds a plain sum and takes no transform.
-        orders, width = [0.6, 0.9, 0.3], 8192
-        assert FFT_BATCH // _fft_size(2 * width) < len(orders)
-        history = _HistorySum(orders, 2 * width)
-        alternating = (-1.0) ** np.arange(width)
-        rng = np.random.default_rng(5)
-        src = np.stack([
-            largest_admitted_input(2 * width) * alternating,
-            1e-300 * rng.uniform(0.5, 1.0, width) * alternating,
-            np.zeros(width),
-        ])
-        out = np.zeros((3, width))
-        history.add(out, off, width, src)
-        for i, order in enumerate(orders):
-            expected = np.convolve(integral_weights(order, 2 * width), src[i])[off : off + width]
-            assert np.max(np.abs(out[i] - expected)) <= 1e-11 * np.max(np.abs(src[i]))
+    def test_rate_count(self):
+        # 14 Gauss-Jacobi points and 14 per ratio-3 Gauss-Legendre interval.
+        assert _exponential_sum(0.5, 20000, 48)[0].size == 140
+        assert _exponential_sum(0.5, 10**7, 48)[0].size == 224
 
-    @pytest.mark.parametrize(
-        "off, width", [(64, 64), (0, 4096), (4096, 4096), (0, 16384), (16384, 16384)]
-    )
-    def test_cached_and_uncached_transforms_agree(self, off, width):
-        # FFT products only. Mixed orders, repeated ones among them, share a
-        # batch; from width 16384 on each batch is one row.
-        orders = [1.0, 0.6, 0.85, 0.6, 1.0]
-        assert width > (NEAR_MAX if off < width else DIRECT_MAX)
-        src = np.random.default_rng(width + off).uniform(-1.0, 1.0, (len(orders), width))
-        outs = []
-        # Below 5 * width steps the weight transforms are made per batch.
-        for count in (2 * width, 5 * width + 1):
-            history = _HistorySum(orders, count)
-            out = np.ones((len(orders), width))
-            history.add(out, off, width, src)
-            assert bool(history.spectra) == (count > 5 * width)
-            outs.append(out)
-        assert outs[0].tobytes() == outs[1].tobytes()
+    def test_order_one_is_the_plain_sum(self):
+        rates, weights = _exponential_sum(1.0, 20000, 48)
+        assert rates.tolist() == [0.0] and weights.tolist() == [1.0]
 
-    @pytest.mark.parametrize("off, cols", [(0, 200), (0, 70), (200, 200)])
-    def test_order_one_rows_add_plain_sums(self, off, cols):
-        # Weights all 1: an in-panel product over more than NEAR_MAX sources
-        # is the prefix sum of its sources (targets past the last source
-        # take them all), a far-field product their total. The fractional
-        # row between them still runs through the FFT.
-        orders, width = [1.0, 0.7, 1.0], 200
-        assert width > NEAR_MAX
-        history = _HistorySum(orders, 2 * width)
-        src = np.random.default_rng(cols + off).uniform(-1.0, 1.0, (len(orders), cols))
-        out = np.zeros((len(orders), width))
-        history.add(out, off, width, src)
-        sums = np.cumsum(src, axis=1)
-        for i, order in enumerate(orders):
-            if order == 1.0:
-                expected = sums[i, np.minimum(np.arange(off, off + width), cols - 1)]
-                tol = 1e-15 * np.abs(src[i]).sum()
-            else:
-                expected = np.convolve(integral_weights(order, 2 * width), src[i])[off : off + width]
-                tol = 1e-13
-            assert np.max(np.abs(out[i] - expected)) <= tol
+    def test_gauss_legendre(self):
+        # Golub-Welsch from the Legendre Jacobi matrix; its weights, squares
+        # of eigenvector entries, are not refined by Newton steps.
+        k = np.arange(1.0, 14.0)
+        nodes, weights = _gauss(np.zeros(14), k / np.sqrt(4 * k * k - 1), 2.0)
+        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(14)
+        assert np.max(np.abs(nodes - expected_nodes)) <= 1e-15
+        assert np.max(np.abs(weights - expected_weights)) <= 1e-14
 
-    @pytest.mark.parametrize("block, span", [(1, 48), (3, 48), (5, 45), (61, 61), (128, 128)])
-    def test_near_field_views_match_add(self, block, span):
-        # _coupling_solve reads views of the Toeplitz cache, as b[i, r - m]
-        # does not depend on the width: the view for block position off, and
-        # its cut for a short last block of ``rows``, must give add's product.
-        orders = [1.0, 0.7, 0.9, 0.7]
-        history = _HistorySum(orders, 4 * span)
-        src = np.random.default_rng(block).uniform(-1.0, 1.0, (len(orders), span))
-        for off in range(0, span, block):
-            view = history.toeplitz(span)[:, off : off + block, : off + block]
-            for rows in sorted({1, (block + 1) // 2, block}):
-                expected = np.ones((len(orders), rows))
-                history.add(expected, off, span, src[:, : off + rows])
-                out = np.ones((len(orders), rows))[:, :, None]
-                cut = view[:, :rows, : view.shape[2] - block + rows]
-                np.add(out, np.matmul(cut, src[:, : off + rows, None]), out=out)
-                assert out[:, :, 0].tobytes() == expected.tobytes()
+
+class TestNearTable:
+    @pytest.mark.parametrize("lag, span", [(0, 48), (2, 48), (4, 45)], ids=["1-48", "3-48", "5-45"])
+    def test_near_field_views_match_add(self, lag, span, monkeypatch):
+        # _coupling_solve reads views of the near table, near[i, r, m] =
+        # b_i[r - m]: the view for the block at offset off, cut for a short
+        # last block of ``rows``, must give the Toeplitz product there.
+        scenario = fractional_pair(lag, 1.0, horizon=0.2, orders=(1.0, 0.7))
+        block = lag + 1
+        assert block_layout(scenario)[1:] == (block, span)
+        tables = []
+        solve = fracsolve._coupling_solve
+        monkeypatch.setattr(fracsolve, "_coupling_solve",
+                            lambda *args: tables.append(args[2]) or solve(*args))
+        simulate(scenario)
+        (near,) = tables
+        assert near.shape == (2, 2 * span, span)
+        src = np.random.default_rng(block).uniform(-1.0, 1.0, (2, span))
+        for i, order in enumerate((1.0, 0.7)):
+            b = integral_weights(order, 2 * span)
+            lag_of = np.subtract.outer(np.arange(2 * span), np.arange(span))
+            assert near[i].tobytes() == np.where(lag_of < 0, 0.0, b[lag_of]).tobytes()
+            for off in range(0, span, block):
+                view = near[i, off : off + block, : off + block]
+                for rows in sorted({1, (block + 1) // 2, block}):
+                    cut = view[:rows, : view.shape[1] - block + rows]
+                    expected = np.convolve(b, src[i, : off + rows])[off : off + rows]
+                    assert np.max(np.abs(cut @ src[i, : off + rows] - expected)) <= 1e-14
 
 
 class TestCaputoOfMonomial:
@@ -501,25 +471,38 @@ def fractional_pair(lag_steps, gain, horizon=2.0, orders=(0.8, 0.9)):
     )
 
 
+def group_panels(scenario):
+    """Panels ``simulate`` advances at once: ``ceil(block / DIRECT_MAX)``
+    equal panels of a block longer than ``DIRECT_MAX`` (a long block,
+    advanced as one group), else 1."""
+    h = scenario.solver.step
+    steps = int(round(scenario.solver.horizon / h))
+    return -(-(min(round(min(a.delay / h, steps)) for a in scenario.agents) + 1) // DIRECT_MAX)
+
+
 def block_layout(scenario):
     """Steps, block length and panel length of ``simulate``: blocks of
-    ``min lag + 1`` steps, grouped into panels of up to ``DIRECT_MAX`` steps."""
+    ``min lag + 1`` steps; panels of the longest multiple of the block within
+    ``DIRECT_MAX`` steps, or the equal panels of a long block."""
     h = scenario.solver.step
     steps = int(round(scenario.solver.horizon / h))
     block = min(round(min(a.delay / h, steps)) for a in scenario.agents) + 1
-    return steps, block, max(1, DIRECT_MAX // block) * block
+    return steps, block, DIRECT_MAX // block * block or block // group_panels(scenario)
 
 
 def sub_block(scenario):
     """Sub-block length of ``simulate``: the longest multiple of the block
-    that divides the panel and keeps ``|F| * n * s**2`` within
-    ``SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 < s``."""
+    that divides the group and keeps ``|F| * n * s**2`` within
+    ``SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 < s``; the whole
+    group when there is none."""
     h = scenario.solver.step
     steps, block, span = block_layout(scenario)
+    stride = group_panels(scenario) * span
     lags = [round(min(a.delay / h, steps)) for a in scenario.agents]
     return max(
-        s for s in range(block, span + 1, block)
-        if span % s == 0 and sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= SOLVE_MAX
+        (s for s in range(block, stride + 1, block)
+         if stride % s == 0 and sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= SOLVE_MAX),
+        default=stride,
     )
 
 
@@ -566,14 +549,6 @@ def wide_short_lag_scenario():
     )
 
 
-def widest_level(scenario):
-    """Sources of the widest history product ``simulate`` forms: panels and
-    dyadic levels of panels."""
-    steps, block, span = block_layout(scenario)
-    panels = -(-steps // span)
-    return span * (1 << ((panels - 1).bit_length() - 1)) if panels > 1 else span
-
-
 class TestReferenceEquivalence:
     """The block stepper against the per-step two-path reference stepper."""
 
@@ -605,9 +580,11 @@ class TestReferenceEquivalence:
         golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
         assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 24
         assert block_layout(pair_scenario())[1:] == (1, 48) and sub_block(pair_scenario()) == 48
-        # Long blocks are stepped one at a time, and so are short ones when
-        # no multiple of the block keeps the solve within SOLVE_MAX.
-        assert block_layout(demo_scenario())[1:] == (601, 601) and sub_block(demo_scenario()) == 601
+        # A long block advances its equal panels as one sub-block; short
+        # blocks are stepped one at a time when no multiple of the block
+        # keeps the solve within SOLVE_MAX.
+        assert block_layout(demo_scenario())[1:] == (601, 46) and group_panels(demo_scenario()) == 13
+        assert sub_block(demo_scenario()) == 13 * 46
         wide = wide_short_lag_scenario()
         assert block_layout(wide)[1:] == (2, 48) and sub_block(wide) == 2
 
@@ -630,21 +607,28 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     @pytest.mark.parametrize("scenario", [
-        # Lag 200: 201-step blocks, so in-panel products past NEAR_MAX, and
-        # far-field levels of up to 6432 sources.
+        # Lag 200: 201-step blocks, advanced five 40-step panels at a time.
         parse_scenario(Path(__file__).parent / "golden" / "symmetric_integer_4agent.json"),
-        # Lag 5: solved sub-blocks and far-field levels of up to 3072 sources.
+        # Lag 5: solved sub-blocks.
         pair_scenario(delay=0.005, horizon=5.0),
-    ], ids=["long_blocks", "short_lags"])
+        pair_scenario(),
+        leader_follower_scenario(),
+        demo_scenario(),
+        wide_short_lag_scenario(),
+        parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json"),
+    ], ids=["long_blocks", "short_lags", "pair", "leader_follower", "demo", "stepped_sub_blocks",
+            "mixed_lags"])
     def test_order_one_runs_without_transforms(self, scenario, monkeypatch):
-        # Every weight of an order-1 agent is 1, so no product needs an FFT.
-        assert {agent.order for agent in scenario.agents} == {1.0}
-        assert widest_level(scenario) > 32 * DIRECT_MAX
+        # Order 1 is the single rate 0 of the running sums, and every other
+        # order a sum of exponentials: no run of any order takes an FFT.
+        steps, block, span = block_layout(scenario)
+        assert steps > 2 * span
 
-        def no_transform(*args, **kwargs):
-            raise AssertionError("an order-1 run took an FFT")
+        class NoTransforms:
+            def __getattr__(self, name):
+                raise AssertionError(f"simulate called np.fft.{name}")
 
-        monkeypatch.setattr(fracsolve.np.fft, "rfft", no_transform)
+        monkeypatch.setattr(fracsolve.np, "fft", NoTransforms())
         traj = simulate(scenario)
         monkeypatch.undo()
         ref = reference_simulate(scenario)
@@ -662,29 +646,28 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_benchmark_shaped(self, seed):
         scenario = benchmark_shaped_scenario(seed)
-        assert widest_level(scenario) > DIRECT_MAX
+        assert block_layout(scenario)[1:] == (3, 48)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape == (8, 5001)
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_fft_levels(self):
-        # Zero lag for agent 2: one-step blocks grouped into panels, and
-        # FFT products over more than a thousand sources.
+        # Zero lag for agent 2: one-step blocks grouped into 48-step panels,
+        # and running sums over up to 3904 steps.
         scenario = fractional_pair(0, 0.8, horizon=4.0, orders=(0.6, 0.85))
         scenario = replace(
             scenario, agents=(replace(scenario.agents[0], delay=0.003), scenario.agents[1])
         )
-        assert widest_level(scenario) > 16 * DIRECT_MAX
+        assert block_layout(scenario) == (4000, 1, 48)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_equal_lags_past_half_the_horizon(self):
-        # 300 steps, every lag 200: two blocks of 201 steps, whose in-block
-        # and far-field products both run through the FFT for the order-0.9
-        # agents and as plain sums for the order-1 ones.
+        # 300 steps, every lag 200: 201-step blocks, advanced five panels
+        # (200 steps) at a time, the second group partial.
         scenario = demo_scenario(delay=0.2, step=1e-3, horizon=0.3)
-        assert widest_level(scenario) == 201 > DIRECT_MAX
+        assert block_layout(scenario)[1:] == (201, 40) and group_panels(scenario) == 5
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -692,13 +675,13 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize(
         "scenario, states_match",
         [
-            # Slow growth: the far-field products sum growing inputs over levels
-            # of 768 to 1952 sources before the first state passes LIMIT.
+            # Slow growth: the running sums carry growing inputs over 840 and
+            # 2520 steps before the first state passes LIMIT.
             (fractional_pair(3, 316.0, horizon=3.0), True),
             (pair_scenario(delay=0.009, gain=271.0, horizon=10.0), True),
-            # Lag 60: 61-step blocks, whose in-block products are direct; the
-            # first state past LIMIT is the 21st of its block. Its states are
-            # compared in test_integer_fft_block_states.
+            # Lag 60: 61-step blocks, advanced two 30-step panels at a time;
+            # the first state past LIMIT is the 21st of its block. Its states
+            # are compared in test_integer_fft_block_states.
             (pair_scenario(delay=0.06, gain=1e4, horizon=20.0), False),
             (fractional_pair(80, 1e5, horizon=20.0), True),
             # An initial state past LIMIT stops the run at its first step.
@@ -718,10 +701,9 @@ class TestReferenceEquivalence:
             assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_integer_fft_block_states(self):
-        # 61-step blocks: the in-block products are direct (up to NEAR_MAX
-        # sources). Through the FFT their rounding grew to 1.16e-12 relative
-        # over the run to overflow; direct products give 6.2e-16 over the run
-        # to LIMIT.
+        # 61-step blocks in 30-step panels. With FFT products in the block
+        # the rounding grew to 1.16e-12 relative over the run to overflow;
+        # dense products and running sums give 1.3e-15 over the run to LIMIT.
         scenario = pair_scenario(delay=0.06, gain=1e4, horizon=20.0)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -751,15 +733,16 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_divergence_over_the_widest_direct_block(self):
-        # Lag 127: 128-step blocks, the longest whose in-block products are
-        # direct; the first state past LIMIT is the 64th of its block.
+        # Lag 127: 128-step blocks, advanced three 42-step panels (126 steps)
+        # at a time; the first state past LIMIT is the 64th of its block and
+        # the tenth of its group.
         scenario = fractional_pair(127, 6925.0, horizon=20.0)
-        assert block_layout(scenario)[1:] == (NEAR_MAX, NEAR_MAX)
+        assert block_layout(scenario)[1:] == (128, 42) and group_panels(scenario) == 3
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert ref.diverged_at is not None
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
-        assert (traj.states.shape[1] - 1) % NEAR_MAX == 63
+        assert (traj.states.shape[1] - 1) % 128 == 63 and (traj.states.shape[1] - 1) % 126 == 9
         assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
 
@@ -792,13 +775,47 @@ class TestReferenceEquivalence:
 
     def test_divergence_in_a_far_field_fft_level(self):
         # Lag 3: 4-step blocks in 48-step panels. Panel 8 (steps 384 to 431)
-        # is first fed by the level of panels 0 to 7, an FFT product over 384
-        # sources; its input 427 feeds step 428, the first past LIMIT.
+        # takes panel 7 as a Toeplitz product and panels 0 to 6 through the
+        # running sums; its input 427 feeds step 428, the first past LIMIT.
         scenario = fractional_pair(3, 1e3)
         steps, block, span = block_layout(scenario)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape == (2, 428)
-        panel = 427 // span
-        assert panel == 8 and (panel & -panel) * span == 384 > DIRECT_MAX
+        assert 427 // span == 8
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scenario, panels, groups",
+        [
+            # Lag 200: 201-step blocks, five panels (200 steps) at a time;
+            # 2050 steps end in a partial group of 50 steps.
+            (fractional_pair(200, 1.0, horizon=2.05, orders=(1.0, 0.6)), 5, 11),
+            # A lag at and one far past the horizon clip to 479 steps: one
+            # group of ten panels, which reads only the prehistory.
+            (demo_scenario(delay=0.479, horizon=0.479), 10, 1),
+            (demo_scenario(delay=1e300, horizon=0.479), 10, 1),
+        ],
+        ids=["partial_last_group", "lag_at_horizon", "lag_past_horizon"],
+    )
+    def test_long_blocks(self, scenario, panels, groups):
+        steps, block, span = block_layout(scenario)
+        assert group_panels(scenario) == panels and -(-steps // (panels * span)) == groups
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_long_block_diverges_in_the_middle_panel(self):
+        # Lag 149: 150-step blocks, four 37-step panels at a time. The group
+        # is checked once, after its products: the first state past LIMIT,
+        # step 6424, is the 60th of its 148-step group, in its second panel.
+        scenario = fractional_pair(149, 2000.0, horizon=10.0, orders=(1.0, 0.7))
+        steps, block, span = block_layout(scenario)
+        assert group_panels(scenario) == 4 and span == 37
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape == (2, 6424)
+        assert 6423 % (4 * span) // span == 1
+        assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
