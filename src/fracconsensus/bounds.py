@@ -7,12 +7,12 @@ frequency-domain argument certifies consensus:
 * ``spectral_delay_bound``   pi / (2 * (gain*rho)**(1/order)), symmetric weights
 
 ``dmax`` is the largest row degree and ``rho`` the spectral radius of the
-Laplacian. The bounds are sufficient, not tight; degree and spectral
-variants are incomparable in general. The integer-order bound
-``pi / (2*gain*lambda_max)`` and the shared-delay bound ``pi / (2*gain*rho)``
-are the order-1 spectral bound: symmetric weights make the Laplacian positive
-semidefinite, so ``lambda_max = rho``. ``bound_report`` takes each bound's
-minimum over the agents' orders, and these two only when every order is 1.
+Laplacian. The bounds are sufficient and in general not tight, and the degree
+and spectral variants are incomparable. ``bound_report`` takes each bound's
+minimum over the agents' orders. At order 1 the spectral bound is the
+integer-order bound ``pi / (2*gain*lambda_max)`` (symmetric weights make the
+Laplacian positive semidefinite, so ``lambda_max = rho``), and with one delay
+shared by every agent it is tight: the exact edge of stability.
 """
 
 from __future__ import annotations
@@ -153,48 +153,27 @@ def gain_delay_curve(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All applicable analytic bounds for one graph, gain and set of agents.
+    """Both analytic bounds for one graph, gain and set of orders.
 
-    Each bound is the smallest over the agents' orders; ``order_used`` attains
-    the degree bound. An optional bound is ``None`` exactly when its
-    hypotheses fail; ``skipped`` pairs each missing bound name with the reason.
+    Each bound is the smallest over the orders; ``order_used`` attains the
+    degree bound. ``spectral_bound`` is ``None`` exactly when its hypotheses
+    fail, and ``skipped`` then gives the reason.
     """
 
     order_used: float
     degree_bound: float
     spectral_bound: float | None
-    integer_bound: float | None
-    shared_bound: float | None
-    skipped: tuple[tuple[str, str], ...]
+    skipped: str | None
 
 
-def bound_report(g: Digraph, gain: float, agents) -> BoundReport:
-    """Evaluate every bound whose hypotheses hold for ``agents`` (each with
-    ``order`` and ``delay``); record reasons otherwise."""
-    orders = {a.order for a in agents}
+def bound_report(g: Digraph, gain: float, orders) -> BoundReport:
+    """Evaluate both bounds over ``orders``; record why the spectral one is
+    skipped when its hypotheses fail."""
+    orders = set(orders)
     degree, order_used = mixed_order_delay_bound(g, gain, orders)
-    skipped: list[tuple[str, str]] = []
     try:
-        rho = _spectral_radius(g)
-        spectral = _smallest(gain, rho, orders)[0]
+        spectral, skipped = _smallest(gain, _spectral_radius(g), orders)[0], None
     except InapplicableBoundError as exc:
-        spectral = None
-        skipped.append(("spectral_bound", str(exc)))
-
-    def order_one(name, needs_uniform=False):
-        # At order 1 the integer and shared-delay bounds are the spectral bound.
-        if orders != {1.0}:
-            reason = "requires every agent order to be 1"
-        elif needs_uniform and len({a.delay for a in agents}) != 1:
-            reason = "requires a single delay shared by all agents"
-        elif spectral is None:
-            reason = dict(skipped)["spectral_bound"]
-        else:
-            return spectral
-        skipped.append((name, reason))
-        return None
-
-    integer, shared = order_one("integer_bound"), order_one("shared_bound", needs_uniform=True)
+        spectral, skipped = None, str(exc)
     return BoundReport(order_used=order_used, degree_bound=degree,
-                       spectral_bound=spectral, integer_bound=integer, shared_bound=shared,
-                       skipped=tuple(skipped))
+                       spectral_bound=spectral, skipped=skipped)

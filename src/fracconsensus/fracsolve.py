@@ -355,12 +355,11 @@ def simulate(scenario: "Scenario") -> Trajectory:
         return Trajectory(times=np.zeros(1), states=x0[:, None], diverged_at=h)
 
     # near[i, r, m] = b_i[r - m] for r < 2 * span (zero above the diagonal).
+    # ``take``, unlike an index array, keeps each agent's matrix C-contiguous,
+    # so the products with it run in BLAS.
     gap = np.arange(2 * span)[:, None] - np.arange(span)
     near = np.where(gap < 0, 0.0, np.array([integral_weights(order, 2 * span)
-                                            for order in orders])[:, gap])
-    # A panel's inputs, in the rows of one product per agent with table,
-    # reach its own states (the first span columns) and the next panel's.
-    table = np.ascontiguousarray(near.transpose(0, 2, 1))
+                                            for order in orders]).take(gap, axis=1))
     # One set of rates serves every agent: the Gauss-Legendre rates are the
     # same for every order, and an agent weighs the other orders' rates by 0.
     fits = {order: _exponential_sum(order, steps, span) for order in set(orders)}
@@ -428,7 +427,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
         # The group's inputs reach its own panels (unless its sub-blocks
         # added them: skip = span), the panel after each, and the sums.
         u = inputs[:, first : first + stride].reshape(n, count, span)
-        out = np.matmul(u, table[:, :, skip:])
+        out = np.matmul(near[:, skip:], u.transpose(0, 2, 1)).transpose(0, 2, 1)
         panels = states[:, pad + first + 1 : pad + first + stride + span + 1]
         panels = panels.reshape(n, count + 1, span)
         if not skip:

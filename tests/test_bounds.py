@@ -10,7 +10,6 @@ import pytest
 
 import fracconsensus.bounds as bounds
 from fracconsensus import (
-    AgentModel,
     Digraph,
     InapplicableBoundError,
     Trajectory,
@@ -29,11 +28,6 @@ from conftest import DEMO_ORDERS, demo_graph, random_digraph
 
 def symmetric_pair(weight=1.0):
     return Digraph.from_edges(2, [(1, 2, weight), (2, 1, weight)])
-
-
-def agents(orders, delays=None):
-    delays = delays or [0.1] * len(orders)
-    return [AgentModel(id=i + 1, order=a, delay=d) for i, (a, d) in enumerate(zip(orders, delays))]
 
 
 class TestDegreeBound:
@@ -119,35 +113,32 @@ class TestSpectralBound:
 
 
 class TestIntegerAndSharedBounds:
-    # Both are the order-1 spectral bound, reported by ``bound_report``.
+    # The integer-order and shared-delay bounds are the order-1 spectral
+    # bound, reported by ``bound_report``.
     @staticmethod
     def order_one(g, gain):
-        return bound_report(g, gain, agents([1.0] * g.n))
+        return bound_report(g, gain, [1.0] * g.n)
 
     def test_pair_values(self):
-        assert self.order_one(symmetric_pair(), 1.0).integer_bound == pytest.approx(math.pi / 4)
-        assert self.order_one(symmetric_pair(), 2.0).integer_bound == pytest.approx(math.pi / 8)
-        assert self.order_one(symmetric_pair(), 1.0).shared_bound == pytest.approx(math.pi / 4)
+        assert self.order_one(symmetric_pair(), 1.0).spectral_bound == pytest.approx(math.pi / 4)
+        assert self.order_one(symmetric_pair(), 2.0).spectral_bound == pytest.approx(math.pi / 8)
 
     def test_doubling_weights_halves_shared_bound(self):
-        base = self.order_one(symmetric_pair(1.0), 1.0).shared_bound
-        assert self.order_one(symmetric_pair(2.0), 1.0).shared_bound == pytest.approx(base / 2)
+        base = self.order_one(symmetric_pair(1.0), 1.0).spectral_bound
+        assert self.order_one(symmetric_pair(2.0), 1.0).spectral_bound == pytest.approx(base / 2)
 
     def test_asymmetric_rejected(self):
         report = self.order_one(demo_graph(), 1.0)
-        assert report.integer_bound is None
-        assert report.shared_bound is None
-        skipped = dict(report.skipped)
-        assert skipped["integer_bound"] == "spectral_delay_bound requires symmetric weights"
-        assert skipped["shared_bound"] == skipped["integer_bound"]
+        assert report.spectral_bound is None
+        assert report.skipped == "spectral_delay_bound requires symmetric weights"
 
     def test_unrooted_rejected(self):
         w = np.zeros((4, 4))
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
-        skipped = dict(self.order_one(Digraph(n=4, weights=w), 1.0).skipped)
-        assert skipped["integer_bound"].endswith("requires a node that reaches all others")
-        assert skipped["shared_bound"] == skipped["integer_bound"]
+        report = self.order_one(Digraph(n=4, weights=w), 1.0)
+        assert report.spectral_bound is None
+        assert report.skipped.endswith("requires a node that reaches all others")
 
     def test_matches_eigvalsh_oracle(self):
         # Independent route: the symmetric eigensolver's top eigenvalue.
@@ -159,12 +150,12 @@ class TestIntegerAndSharedBounds:
             if not sym.weights.any():
                 continue
             report = self.order_one(sym, 1.2)
-            if report.integer_bound is None:
+            if report.spectral_bound is None:
                 continue
             lap = np.diag(sym.weights.sum(axis=1)) - sym.weights
             lam_max = np.linalg.eigvalsh(lap)[-1]
-            assert report.integer_bound == pytest.approx(math.pi / (2.0 * 1.2 * lam_max), rel=1e-9)
-            assert report.shared_bound == report.integer_bound
+            assert report.spectral_bound == pytest.approx(math.pi / (2.0 * 1.2 * lam_max),
+                                                          rel=1e-9)
             found += 1
 
 
@@ -268,43 +259,29 @@ def test_rejection_names_its_cause(call, message):
 
 class TestBoundReport:
     def test_demo_graph_report(self):
-        report = bound_report(demo_graph(), 1.0, agents(DEMO_ORDERS))
+        report = bound_report(demo_graph(), 1.0, DEMO_ORDERS)
         assert report.order_used == 0.9
         assert report.degree_bound == pytest.approx(0.7271802985665787, abs=1e-12)
         assert report.spectral_bound is None
-        assert report.integer_bound is None
-        assert report.shared_bound is None
-        assert {name for name, _ in report.skipped} == {
-            "spectral_bound",
-            "integer_bound",
-            "shared_bound",
-        }
+        assert report.skipped == "spectral_delay_bound requires symmetric weights"
 
     def test_symmetric_integer_report(self):
-        report = bound_report(symmetric_pair(), 1.0, agents([1.0, 1.0]))
+        report = bound_report(symmetric_pair(), 1.0, [1.0, 1.0])
         assert report.spectral_bound == pytest.approx(math.pi / 4)
-        assert report.integer_bound == pytest.approx(math.pi / 4)
-        assert report.shared_bound == pytest.approx(math.pi / 4)
-        assert report.skipped == ()
-
-    def test_shared_bound_needs_uniform_delay(self):
-        report = bound_report(symmetric_pair(), 1.0, agents([1.0, 1.0], [0.1, 0.2]))
-        assert report.shared_bound is None
-        assert dict(report.skipped)["shared_bound"].startswith("requires a single delay")
+        assert report.skipped is None
 
     def test_mixed_orders_take_the_smallest_bound_of_each_kind(self):
         # Unit-weight K4: dmax = 3, rho = 4. At gain 0.2 the degree bound is
         # smallest at order 0.5 (2*gain*dmax > 1), the spectral one at order 1
         # (gain*rho < 1).
         k4 = Digraph(n=4, weights=np.ones((4, 4)) - np.eye(4))
-        report = bound_report(k4, 0.2, agents([1.0, 1.0, 0.5, 0.5]))
+        report = bound_report(k4, 0.2, [1.0, 1.0, 0.5, 0.5])
         assert report.order_used == 0.5
         assert report.degree_bound == pytest.approx(math.pi / (2 * 1.2**2))
         assert report.spectral_bound == pytest.approx(math.pi / (2 * 0.2 * 4))
         for a in (1.0, 0.5):
             assert report.spectral_bound <= spectral_delay_bound(k4, 0.2, a)
-        assert report.integer_bound is None and report.shared_bound is None
-        assert dict(report.skipped)["integer_bound"] == "requires every agent order to be 1"
+        assert report.skipped is None
 
     def test_spectral_hypotheses_checked_once(self, monkeypatch):
         calls = []
@@ -313,8 +290,8 @@ class TestBoundReport:
             monkeypatch.setattr(bounds, name,
                                 lambda x, f=original, n=name: calls.append(n) or f(x))
         k4 = Digraph(n=4, weights=np.ones((4, 4)) - np.eye(4))
-        bound_report(k4, 0.2, agents([1.0, 0.8, 0.6, 0.6]))
+        bound_report(k4, 0.2, [1.0, 0.8, 0.6, 0.6])
         assert calls == ["has_spanning_root", "spectrum"]
         calls.clear()
-        bound_report(demo_graph(), 1.0, agents(DEMO_ORDERS))  # not symmetric
+        bound_report(demo_graph(), 1.0, DEMO_ORDERS)  # not symmetric
         assert calls == []

@@ -115,10 +115,11 @@ class TestBoundCommand:
     def test_symmetric_config_lists_all_bounds(self, tmp_path, capsys):
         config = write_scenario(tmp_path, pair_scenario(delay=0.1, step=1e-3, horizon=1.0))
         assert run_cli(["bound", config]) == 0
-        captured = capsys.readouterr().out
-        assert "spectral bound: 0.785398" in captured
-        assert "integer bound: 0.785398" in captured
-        assert "shared-delay bound: 0.785398" in captured
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "degree bound: 0.785398",
+            "spectral bound: 0.785398",
+            "largest agent delay: 0.1  within degree bound: yes",
+        ]
 
     def test_large_symmetric_ring(self, tmp_path, capsys):
         # rho = 4 for an even ring, so pi / (2 * 4).
@@ -126,20 +127,19 @@ class TestBoundCommand:
         assert "spectral bound: 0.392699" in capsys.readouterr().out
 
     def test_mixed_orders_leave_integer_bounds_inapplicable(self, tmp_path, capsys):
-        # At gain 0.1 the degree bound's order is 1 (2*gain*dmax < 1), but two
-        # agents have order 0.5, so the integer and shared-delay bounds do not apply.
+        # At gain 0.1 the degree bound's order is 1 (2*gain*dmax < 1), and the
+        # spectral bound's too (gain*rho < 1), though two agents have order 0.5.
         payload = json.loads(MIXED_K4.read_text())
         payload["gain"] = 0.1
         path = tmp_path / "gain01.json"
         path.write_text(json.dumps(payload))
         assert run_cli(["bound", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1:6] == [
+        assert lines[1:] == [
             "order used: 1",
             "degree bound: 2.61799",
             "spectral bound: 3.92699",
-            "integer bound: inapplicable (requires every agent order to be 1)",
-            "shared-delay bound: inapplicable (requires every agent order to be 1)",
+            "largest agent delay: 0.2  within degree bound: yes",
         ]
 
     def test_eigenvalue_failure_exit_two(self, capsys, monkeypatch):
@@ -535,25 +535,45 @@ class TestBoundAgainstRootCount:
         gain = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0)))) / rho
         return Digraph(n=n, weights=w), orders.tolist(), gain
 
+    @staticmethod
+    def printed_bounds(path, g, orders, gain, capsys):
+        """``bound``'s lines on ``g`` with these orders and gain, by label."""
+        edges = [[int(i) + 1, int(k) + 1, float(g.weights[i, k])]
+                 for i, k in zip(*np.nonzero(g.weights))]
+        path.write_text(json.dumps({
+            "n": g.n, "edges": edges, "gain": gain, "init": [0.0] * g.n,
+            "agents": [{"id": i + 1, "order": a, "delay": 0.0} for i, a in enumerate(orders)],
+            "solver": {"h": 1e-3, "horizon": 1.0},
+        }))
+        assert run_cli(["bound", str(path)]) == 0
+        return dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+
     def test_no_root_below_the_printed_bounds(self, tmp_path, capsys):
         rng = np.random.default_rng(2024)
-        path = tmp_path / "random.json"
         for case in range(100):
             g, orders, gain = self.draw(rng)
-            edges = [[int(i) + 1, int(k) + 1, float(g.weights[i, k])]
-                     for i, k in zip(*np.nonzero(g.weights))]
-            path.write_text(json.dumps({
-                "n": g.n, "edges": edges, "gain": gain, "init": [0.0] * g.n,
-                "agents": [{"id": i + 1, "order": a, "delay": 0.0} for i, a in enumerate(orders)],
-                "solver": {"h": 1e-3, "horizon": 1.0},
-            }))
-            assert run_cli(["bound", str(path)]) == 0
-            printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+            printed = self.printed_bounds(tmp_path / "random.json", g, orders, gain, capsys)
             for label in ("degree bound", "spectral bound"):
                 delay = 0.99 * float(printed[label])
                 agents = [AgentModel(id=i + 1, order=a, delay=delay) for i, a in enumerate(orders)]
                 loci = eigen_loci(g, agents, gain, omega_grid(agents))
                 assert loci.roots == 0, (case, label, printed[label], orders, gain)
+
+    def test_order_one_spectral_bound_is_the_exact_edge(self, tmp_path, capsys):
+        # Every order 1 and one shared delay: each Laplacian eigenvalue
+        # lambda gives s + gain*lambda*exp(-s*tau) = 0, which first crosses
+        # at tau = pi / (2*gain*lambda), so the largest one sets the edge.
+        rng = np.random.default_rng(7)
+        for case in range(40):
+            g, _, gain = self.draw(rng)
+            orders = [1.0] * g.n
+            printed = self.printed_bounds(tmp_path / "random.json", g, orders, gain, capsys)
+            roots = []
+            for scale in (0.999, 1.001):
+                delay = scale * float(printed["spectral bound"])
+                agents = [AgentModel(id=i + 1, order=1.0, delay=delay) for i in range(g.n)]
+                roots.append(eigen_loci(g, agents, gain, omega_grid(agents)).roots)
+            assert roots[0] == 0 and roots[1] > 0, (case, printed["spectral bound"], gain, roots)
 
 
 class TestCurveCommand:
@@ -585,7 +605,7 @@ class TestCriticalCommand:
         assert 0.55 < value < 0.95
 
     @pytest.mark.parametrize("config, tau_lo, printed", [
-        # Mixed orders: order-1 sums and fractional FFTs in one run.
+        # Mixed orders: order-1 and fractional running sums in one run.
         (CONFIG, "0.3", "critical delay estimate: 0.614453\n"),
         # All order 1 over 201-step blocks: every product is a plain sum.
         (GOLDEN / "symmetric_integer_4agent.json", "0.1", "critical delay estimate: 0.370703\n"),

@@ -651,7 +651,7 @@ class TestReferenceEquivalence:
         assert traj.states.shape == ref.states.shape == (8, 5001)
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    def test_fft_levels(self):
+    def test_running_sums_over_one_step_blocks(self):
         # Zero lag for agent 2: one-step blocks grouped into 48-step panels,
         # and running sums over up to 3904 steps.
         scenario = fractional_pair(0, 0.8, horizon=4.0, orders=(0.6, 0.85))
@@ -681,7 +681,7 @@ class TestReferenceEquivalence:
             (pair_scenario(delay=0.009, gain=271.0, horizon=10.0), True),
             # Lag 60: 61-step blocks, advanced two 30-step panels at a time;
             # the first state past LIMIT is the 21st of its block. Its states
-            # are compared in test_integer_fft_block_states.
+            # are compared in test_integer_long_block_states.
             (pair_scenario(delay=0.06, gain=1e4, horizon=20.0), False),
             (fractional_pair(80, 1e5, horizon=20.0), True),
             # An initial state past LIMIT stops the run at its first step.
@@ -700,10 +700,9 @@ class TestReferenceEquivalence:
         if states_match:
             assert max_relative_difference(traj, ref) <= 1e-12
 
-    def test_integer_fft_block_states(self):
-        # 61-step blocks in 30-step panels. With FFT products in the block
-        # the rounding grew to 1.16e-12 relative over the run to overflow;
-        # dense products and running sums give 1.3e-15 over the run to LIMIT.
+    def test_integer_long_block_states(self):
+        # 61-step blocks in 30-step panels: dense products and running sums
+        # give 1.3e-15 relative over the run to LIMIT.
         scenario = pair_scenario(delay=0.06, gain=1e4, horizon=20.0)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -773,7 +772,7 @@ class TestReferenceEquivalence:
         assert 415 % span // size == 1
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    def test_divergence_in_a_far_field_fft_level(self):
+    def test_divergence_in_a_running_sum_panel(self):
         # Lag 3: 4-step blocks in 48-step panels. Panel 8 (steps 384 to 431)
         # takes panel 7 as a Toeplitz product and panels 0 to 6 through the
         # running sums; its input 427 feeds step 428, the first past LIMIT.
