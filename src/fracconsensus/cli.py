@@ -15,6 +15,7 @@ Fail, or Inconclusive verdicts, 2 on usage, file, or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -114,6 +115,8 @@ def cmd_critical(args, scen) -> int:
     return 0
 
 
+# A build takes about 0.6 ms; a process that runs many commands builds once.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracconsensus",

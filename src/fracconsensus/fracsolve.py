@@ -215,8 +215,9 @@ def _exponential_sum(order: float, steps: int, span: int):
 # sums of ``_exponential_sum``.
 DIRECT_MAX = 48
 # A panel's sub-blocks are as long as their solve matrix (``_coupling_solve``)
-# keeps within this many entries.
-SOLVE_MAX = 2**15
+# keeps within this many entries (1 MiB): a whole 48-step panel at n = 8 while
+# at most seven agents read states of their own panel.
+SOLVE_MAX = 2**17
 # A run diverges at the first step where some state exceeds this in
 # magnitude; ``simulate`` refuses a scenario that could overflow before then.
 LIMIT = 1e100
@@ -233,28 +234,36 @@ def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
     where ``v`` is gathered from states that lack the sub-block's own
     inputs, ``coef = -gain * h**order * L`` and ``b[j, r - m] =
     toeplitz[j, r, m]``; the sum is empty unless ``lag_i + 1 < size``. The
-    other agents have ``u = v``, and ``u[fast] = tensordot(q, v, 2)``. An
-    input depends only on inputs at least ``block`` steps earlier, so ``q``
-    is built ``block`` rows at a time, each group from the ones before it.
+    other agents have ``u = v``, and ``u[fast] = tensordot(q, v, 2)``.
+
+    The system reads inputs ``t - m`` steps back with weights that depend on
+    ``t - m`` only, so its inverse does too: ``q[f, t, j, m] = col[t - m,
+    fast[f], j]`` for ``t >= m`` and 0 above, with ``col`` the inverse's
+    first block column, ``col[d] = [d == 0] + sum_m K[d - m] @ col[m]``. An
+    input reads only inputs at least ``block`` steps earlier, so ``col`` is
+    built ``block`` differences at a time from the ones before them, and
+    expanded once into ``q``.
     """
+    n = coef.shape[0]
     fast = np.flatnonzero(lags + 1 < size)
-    q = np.zeros((fast.size, size, coef.shape[0], size))
-    # Input t of agent fast[f] reads the states after the sub-block's inputs
-    # up to t - lag - 1: that row of the Toeplitz, or none when negative.
-    rows = np.arange(size) - lags[fast, None] - 1
+    # first[i, j, d] = col[d, i, j], after ``size`` zero columns in padded.
+    padded = np.zeros((n, n, 2 * size))
+    first = padded[:, :, size:]
+    first[:, :, 0] = np.eye(n)
     scale = coef[fast].T[:, :, None, None]
-    f, t = np.arange(fast.size)[:, None], np.arange(block)
-    for g in range(0, size, block):
-        r = rows[:, g : g + block]
+    for g in range(block, size, block):
+        # Input t of agent fast[f] reads the states after the sub-block's
+        # inputs up to t - lag - 1: that row of the Toeplitz, or none when
+        # negative.
+        r = np.arange(g, min(g + block, size)) - lags[fast, None] - 1
         # kern[j, f, t, m]: how input g + t of agent fast[f] reads input m of agent j.
-        kern = np.where(r[:, :, None] >= 0, toeplitz[:, np.maximum(r, 0), :size], 0.0) * scale
-        group = kern.transpose(1, 2, 0, 3).copy()
-        group[:, :, fast] = 0.0
-        group[f, t, fast[:, None], g + t] = 1.0
-        if g:
-            group += np.tensordot(kern[fast, :, :, :g], q[:, :g], axes=([0, 3], [0, 1]))
-        q[:, g : g + block] = group
-    return fast, q
+        kern = np.where(r[:, :, None] >= 0, toeplitz[:, np.maximum(r, 0), :g], 0.0) * scale
+        group = np.tensordot(kern, first[:, :, :g], axes=([0, 3], [0, 2]))
+        first[fast, :, g : g + block] = group.transpose(0, 2, 1)
+    # window[f, j, s, w] = padded[fast[f], j, s + w], so q[f, t, j, m] is
+    # window[f, j, t + 1, size - 1 - m].
+    window = np.lib.stride_tricks.sliding_window_view(padded[fast], size, axis=2)
+    return fast, np.ascontiguousarray(window[:, :, 1:, ::-1].transpose(0, 2, 1, 3))
 
 
 def simulate(scenario: "Scenario") -> Trajectory:
@@ -283,29 +292,36 @@ def simulate(scenario: "Scenario") -> Trajectory:
     one set of rates, as only 14 of an order's rates depend on it, so one
     matrix product per panel feeds every agent's sums and one reads them. A
     block longer than ``DIRECT_MAX`` advances its panels at once, with a
-    log-depth scan of the sums across them. A panel of shorter
-    blocks goes in sub-blocks: the longest multiple of the block that
-    divides the panel and whose ``_coupling_solve`` matrix fits in
-    ``SOLVE_MAX`` entries. A sub-block gathers its inputs from the states
-    it reads, solves for the inputs of the agents that read its own states
-    (a sub-block of one block solves nothing), and adds them to every later
-    state of its panel. The cost is O(steps * rates) per agent (140 rates
-    per order at 20000 steps) plus a fixed interpreter cost per panel or
-    long block. States before t = 0 equal the initial state. Delays are
+    log-depth scan of the sums across them. A panel of shorter blocks is
+    cut into sub-blocks: the longest multiple of the block that divides the
+    panel and whose ``_coupling_solve`` matrix fits in ``SOLVE_MAX``
+    entries, the whole panel unless many agents read states of their own
+    panel. A sub-block gathers its inputs from the states it reads and
+    solves for the inputs of the agents that read its own states (a
+    sub-block of one block solves nothing). A panel of one sub-block is
+    then advanced like a long block. A panel of several adds each
+    sub-block's inputs to every later state of the panel, and is advanced
+    past its end after its last sub-block. Only the current group's
+    inputs are kept. The cost is O(steps * rates) per agent (140 rates per
+    order at 20000 steps) plus a fixed interpreter cost per panel, sub-block
+    or long block. States before t = 0 equal the initial state. Delays are
     rounded to the nearest grid multiple.
 
     Stepping stops early with ``diverged_at`` set at the first step where
     some ``|x_i|`` exceeds ``LIMIT`` (the first, if ``x(0)`` does). Each
-    sub-block is checked right after its product, before a solve's inputs
-    are gathered again from its final states, and a long block once, after
-    its products. Nothing overflows before that check. With the checked
-    states within ``LIMIT``, a stored input is at most ``grow * LIMIT``,
-    ``grow = 2 * gain * max degree * max h**order``, and each ``b_j <=
-    1``: a state not yet final is at most ``LIMIT * (1 + steps * grow)``.
-    Each of a panel's ``span // size`` solves multiplies that by at most
-    ``1 + size * norm * grow``, ``norm`` its matrix's row-sum norm. A
-    gathered input sums terms ``-gain * h**order * a_ij`` times a
-    difference of states, at most ``grow`` times that bound in all. A
+    sub-block (a long block's group is one) is checked right after its
+    inputs are added, before the next sub-block's inputs are gathered.
+    Nothing overflows before that check. A gathered input sums terms
+    ``-gain * h**order * a_ij`` times a difference of states: from checked
+    states it is at most ``grow * LIMIT``, ``grow = 2 * gain * max degree
+    * max h**order``. A solved input equals, but for rounding, the input
+    gathered from its sub-block's states once they hold it, so after the
+    check it is within that bound too. With each ``b_j <= 1``, a state is at
+    most ``LIMIT * (1 + steps * grow)`` before the inputs of its sub-block
+    arrive. Those are gathered from such states, and a solve adds at most
+    ``size * norm * grow`` times the bound, ``norm`` its matrix's row-sum
+    norm; the bound takes that factor ``1 + size * norm * grow`` once for
+    each of a panel's ``span // size`` sub-blocks, where one would do. A
     running sum adds stored inputs with factors of at most 1, and the
     weights a state takes from the sums are positive and add up to about
     ``b_j <= 1``: the sums and every product stay within ``max(2 * max
@@ -341,11 +357,10 @@ def simulate(scenario: "Scenario") -> Trajectory:
         stride = count * span
         # Columns past the current group hold x(0) plus the sums added so
         # far; a column is final once its group is done. One panel past the
-        # last group takes what that group feeds forward, and inputs past
-        # the last step stay zero.
+        # last group takes what that group feeds forward. Only the current
+        # group's inputs are kept.
         states = np.repeat(x0[:, None], pad + -(-steps // stride) * stride + span + 1, axis=1)
-        inputs = np.empty((n, states.shape[1] - pad - span - 1))
-        inputs[:, steps:] = 0.0
+        inputs = np.empty((n, stride))
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ValueError(
             f"key 'solver' is invalid: {scenario.solver.horizon / h:.3g} steps "
@@ -392,7 +407,8 @@ def simulate(scenario: "Scenario") -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
             solve = _coupling_solve(coef, lags, near, size, block)
-            norm = float(np.abs(solve[1]).sum(axis=(2, 3)).max())
+            # The last row of q reads every input of the sub-block.
+            norm = float(np.abs(solve[1][:, -1]).sum(axis=(1, 2)).max())
     degree = float(w.sum(axis=1).max())
     grow = 2 * gain * degree * float(step_pow.max())
     reach = (math.log(LIMIT * max(2 * degree * max(gain, 1.0), 32 * steps**2))
@@ -409,24 +425,14 @@ def simulate(scenario: "Scenario") -> Trajectory:
     # weighted lagged differences straight into the inputs.
     coupling = (-gain * w * step_pow).T[:, :, None]
     # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
-    # start + t, over up to two sub-blocks when a solve gathers its own
-    # again; own[i] = other[i, i].
-    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(
-        min(2 * size, span) if solve else size)
+    # start + t of a sub-block; own[i] = other[i, i].
+    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(size)
     own = other[range(n), range(n)]
-
-    def gather(start, stop):
-        # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
-        # first: identical states give exactly zero input.
-        lagged = flat[start:].take(other[:, :, : stop - start])
-        np.subtract(flat[start:].take(own[:, : stop - start]), lagged, out=lagged)
-        np.multiply(coupling, lagged, out=lagged)
-        np.add.reduce(lagged, axis=0, out=inputs[:, start:stop])
 
     def advance(first, skip):
         # The group's inputs reach its own panels (unless its sub-blocks
         # added them: skip = span), the panel after each, and the sums.
-        u = inputs[:, first : first + stride].reshape(n, count, span)
+        u = inputs.reshape(n, count, span)
         out = np.matmul(near[:, skip:], u.transpose(0, 2, 1)).transpose(0, 2, 1)
         panels = states[:, pad + first + 1 : pad + first + stride + span + 1]
         panels = panels.reshape(n, count + 1, span)
@@ -439,25 +445,32 @@ def simulate(scenario: "Scenario") -> Trajectory:
         panels[:, 1:] += out[:, :, span - skip :] + far
         scan[0] = scan[count]
 
-    # Short blocks add each sub-block's inputs to its panel as they are
-    # solved; otherwise a group is one sub-block, added by ``advance``.
-    stepped = size < stride or solve is not None
+    # A group of several sub-blocks adds each one's inputs to its panel as
+    # they are formed; a group of one sub-block is added by ``advance``.
+    stepped = size < stride
     for first in range(0, steps, stride):
         last = min(first + stride, steps)
-        gather(first, min(first + size, last))
+        # Inputs past the last step stay zero.
+        inputs[:, last - first :] = 0.0
         for start in range(first, last, size):
             stop = min(start + size, last)
+            m = stop - start
+            u = inputs[:, start - first : stop - first]
+            # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
+            # first: identical states give exactly zero input.
+            lagged = flat[start:].take(other[:, :, :m])
+            np.subtract(flat[start:].take(own[:, :m]), lagged, out=lagged)
+            np.multiply(coupling, lagged, out=lagged)
+            np.add.reduce(lagged, axis=0, out=u)
             if solve:
-                # The gather read the sums over the panel's earlier
+                # The gather read states that hold the panel's earlier
                 # sub-blocks; the solve adds what its own inputs feed back.
                 fast, q = solve
-                v, m = inputs[:, start:stop], stop - start
-                q = q[:, :m, :, :m].reshape(-1, v.size)
-                inputs[fast, start:stop] = (q @ v.reshape(-1)).reshape(fast.size, m)
+                q = q[:, :m, :, :m].reshape(-1, u.size)
+                u[fast] = (q @ u.reshape(-1)).reshape(fast.size, m)
             if stepped:
                 rest = states[:, pad + start + 1 : pad + last + 1]
-                rest += np.matmul(near[:, : last - start, : stop - start],
-                                  inputs[:, start:stop, None])[:, :, 0]
+                rest += np.matmul(near[:, : last - start, :m], u[:, :, None])[:, :, 0]
             else:
                 advance(first, 0)
             done = states[:, pad + start + 1 : pad + stop + 1]
@@ -465,11 +478,6 @@ def simulate(scenario: "Scenario") -> Trajectory:
                 k = start + 1 + int(np.argmax((np.abs(done) > LIMIT).any(axis=0)))
                 return Trajectory(times=np.arange(k) * h, states=states[:, pad : pad + k].copy(),
                                   diverged_at=k * h)
-            # The next sub-block's inputs; after a solve, this sub-block's
-            # too, as stepping forms them from the final states.
-            lo, hi = start if solve else stop, min(stop + size, last)
-            if lo < hi:
-                gather(lo, hi)
         if stepped:
             advance(first, span)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fracconsensus.scenario
-from fracconsensus.cli import run_cli
+from fracconsensus.cli import build_parser, run_cli
 from fracconsensus import (
     AgentModel,
     Digraph,
@@ -33,6 +33,7 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agen
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MIXED_K4 = GOLDEN / "symmetric_mixed_4agent.json"  # unit-weight K4, orders 1, 1, 0.5, 0.5
 MIXED_LAGS = GOLDEN / "mixed_lags_8agent.json"  # 8 agents, 4 fractional, lags 2-541 steps
+SHORT_LAGS = GOLDEN / "short_lags_8agent.json"  # the same with lags 2-41 steps
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -171,7 +172,9 @@ class TestGoldenOutput:
     # simulate's default stdout is the trajectory CSV; its verdict goes to
     # stderr. symmetric_mixed_4agent is left out: it does not converge, and
     # simulate exits 1 on it. mixed_lags_8agent is shaped like the benchmark's
-    # simulate jobs: 3-step blocks in 48-step panels, lags up to 541 steps.
+    # simulate jobs: 3-step blocks in 48-step panels, lags up to 541 steps,
+    # each panel one solve. short_lags_8agent has all eight lags below 48
+    # steps, so each panel is solved in two 24-step sub-blocks.
     # long_block_6agent (lags 80-310 steps) has 81-step blocks, longer than
     # DIRECT_MAX and advanced as two 40-step panels at a time.
     @pytest.mark.parametrize(
@@ -187,12 +190,16 @@ class TestGoldenOutput:
                 "verdict: Converged  final_spread: 0.00654387  consensus_value: 0.288635\n",
             ),
             (
+                SHORT_LAGS,
+                "verdict: Converged  final_spread: 0.00703815  consensus_value: 0.285255\n",
+            ),
+            (
                 GOLDEN / "long_block_6agent.json",
                 "verdict: Converged  final_spread: 0.00630524  consensus_value: 0.41003\n",
             ),
         ],
         ids=["mixed_order_4agent", "symmetric_integer_4agent", "mixed_lags_8agent",
-             "long_block_6agent"],
+             "short_lags_8agent", "long_block_6agent"],
     )
     def test_simulate_output(self, capsys, config, verdict):
         assert run_cli(["simulate", str(config)]) == 0
@@ -207,7 +214,7 @@ class TestGoldenOutput:
             (config, command)
             for config in (CONFIG, GOLDEN / "symmetric_integer_4agent.json")
             for command in ("curve", "simulate")
-        ] + [(MIXED_LAGS, "simulate")],
+        ] + [(MIXED_LAGS, "simulate"), (SHORT_LAGS, "simulate")],
         ids=lambda value: getattr(value, "stem", value),
     )
     def test_out_file(self, tmp_path, capsys, config, command):
@@ -651,6 +658,15 @@ class TestErrorPaths:
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, capsys):
+        # Every call reuses one parser, and prints the same usage error.
+        errors = []
+        for _ in range(2):
+            assert run_cli(["simulate"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("usage: fracconsensus simulate")
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("delay", [1e308, math.nan])
     def test_unsnappable_delay_exit_two(self, tmp_path, capsys, delay):

@@ -26,7 +26,7 @@ from fracconsensus import (
 )
 import fracconsensus.fracsolve as fracsolve
 from fracconsensus.fracsolve import (
-    DIRECT_MAX, LIMIT, SOLVE_MAX, _exponential_sum, _gauss, integral_weights,
+    DIRECT_MAX, LIMIT, _exponential_sum, _gauss, integral_weights,
 )
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
@@ -164,6 +164,77 @@ class TestNearTable:
                     cut = view[:rows, : view.shape[1] - block + rows]
                     expected = np.convolve(b, src[i, : off + rows])[off : off + rows]
                     assert np.max(np.abs(cut @ src[i, : off + rows] - expected)) <= 1e-14
+
+
+def dense_solve(coef, lags, orders, size):
+    """``(I - K)**-1`` for one sub-block's inputs, indexed ``[i, t, j, m]``,
+    by a dense ``np.linalg.solve``: ``K[i, t, j, m] = coef[i, j] * b_j[t -
+    lag_i - 1 - m]`` wherever that index is >= 0."""
+    n = len(orders)
+    kernel = np.zeros((n, size, n, size))
+    for i in range(n):
+        for j in range(n):
+            b = integral_weights(orders[j], size)
+            for t in range(size):
+                for m in range(t - lags[i]):
+                    kernel[i, t, j, m] = coef[i, j] * b[t - lags[i] - 1 - m]
+    eye = np.eye(n * size)
+    return np.linalg.solve(eye - kernel.reshape(n * size, -1), eye).reshape(n, size, n, size)
+
+
+def toeplitz_residual(q):
+    """Largest change of ``q[:, t, :, m]`` from ``q[:, t - m, :, 0]``, or
+    from 0 for ``t < m``."""
+    size = q.shape[1]
+    return max(np.max(np.abs(q[:, t, :, m] - (q[:, t - m, :, 0] if t >= m else 0.0)))
+               for t in range(size) for m in range(size))
+
+
+def three_agent_scenario(gain):
+    rng = np.random.default_rng(5)
+    return Scenario(
+        graph=random_digraph(rng, 3, edge_prob=0.9),
+        agents=tuple(AgentModel(id=i + 1, order=order, delay=lag * 1e-3)
+                     for i, (order, lag) in enumerate([(0.55, 1), (1.0, 5), (0.8, 2)])),
+        gain=gain,
+        initial=(0.0, 0.5, 1.0),
+        solver=SolverParams(step=1e-3, horizon=1.0),
+    )
+
+
+class TestCouplingSolve:
+    @pytest.mark.parametrize("build, size", [
+        # Lags 25 and 41 read no state of a 24-step sub-block; agent 1 reads
+        # agent 5, of lag 25.
+        (lambda: replace(parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json"),
+                         gain=40.0), 24),
+        (lambda: fractional_pair(0, 30.0, orders=(0.6, 0.85)), 48),
+        (lambda: three_agent_scenario(20.0), 12),
+    ], ids=["short_lags_golden", "zero_lag_pair", "three_agents"])
+    def test_matches_dense_solve(self, build, size):
+        scenario = build()
+        h = scenario.solver.step
+        orders = [agent.order for agent in scenario.agents]
+        n = len(orders)
+        lags = np.array([round(agent.delay / h) for agent in scenario.agents])
+        w = scenario.graph.weights
+        coef = -scenario.gain * np.array([h**order for order in orders])[:, None] * (
+            np.diag(w.sum(axis=1)) - w)
+        gap = np.subtract.outer(np.arange(size), np.arange(size))
+        toeplitz = np.array([np.where(gap < 0, 0.0, integral_weights(order, size)[gap])
+                             for order in orders])
+        fast, q = fracsolve._coupling_solve(coef, lags, toeplitz, size, int(lags.min()) + 1)
+        assert fast.tolist() == np.flatnonzero(lags + 1 < size).tolist()
+        slow = np.setdiff1d(np.arange(n), fast)
+        assert slow.size == 0 or np.any(coef[np.ix_(fast, slow)] != 0.0)
+        expected = dense_solve(coef, lags, orders, size)
+        # An agent that reads no state of its own sub-block takes u = v.
+        assert np.array_equal(expected[slow], np.eye(n * size).reshape(n, size, n, size)[slow])
+        assert np.max(np.abs(q - expected[fast])) <= 1e-14 * np.max(np.abs(expected))
+        # Input t reads input m through t - m only: q is block Toeplitz, and
+        # so, to rounding, is the dense inverse.
+        assert toeplitz_residual(q) == 0.0
+        assert toeplitz_residual(expected) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestCaputoOfMonomial:
@@ -493,15 +564,16 @@ def block_layout(scenario):
 def sub_block(scenario):
     """Sub-block length of ``simulate``: the longest multiple of the block
     that divides the group and keeps ``|F| * n * s**2`` within
-    ``SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 < s``; the whole
-    group when there is none."""
+    ``fracsolve.SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 <
+    s``; the whole group when there is none."""
     h = scenario.solver.step
     steps, block, span = block_layout(scenario)
     stride = group_panels(scenario) * span
     lags = [round(min(a.delay / h, steps)) for a in scenario.agents]
     return max(
         (s for s in range(block, stride + 1, block)
-         if stride % s == 0 and sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= SOLVE_MAX),
+         if stride % s == 0
+         and sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= fracsolve.SOLVE_MAX),
         default=stride,
     )
 
@@ -533,9 +605,9 @@ def short_lag_scenario(seed):
 
 
 def wide_short_lag_scenario():
-    """n = 64, mixed orders, lags of 1 to 3 steps, 0.5 s: no multiple of the
-    two-step block keeps a solve within ``SOLVE_MAX``, so each 48-step panel
-    is stepped in 24 sub-blocks of one block each."""
+    """n = 64, mixed orders, lags of 1 to 3 steps, 0.5 s: a solve within
+    ``SOLVE_MAX`` spans at most two two-step blocks, so each 48-step panel
+    is solved in 12 sub-blocks of 4 steps."""
     rng = np.random.default_rng(64)
     n = 64
     orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
@@ -577,16 +649,31 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_sub_block_sizes(self):
+        # Six agents read their own panel: one 48-step solve fits SOLVE_MAX.
         golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
-        assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 24
+        assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 48
+        # All eight do: the panel is solved in two 24-step sub-blocks.
+        short = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
+        assert block_layout(short)[1:] == (3, 48) and sub_block(short) == 24
         assert block_layout(pair_scenario())[1:] == (1, 48) and sub_block(pair_scenario()) == 48
-        # A long block advances its equal panels as one sub-block; short
-        # blocks are stepped one at a time when no multiple of the block
-        # keeps the solve within SOLVE_MAX.
+        # A long block advances its equal panels as one sub-block.
         assert block_layout(demo_scenario())[1:] == (601, 46) and group_panels(demo_scenario()) == 13
         assert sub_block(demo_scenario()) == 13 * 46
         wide = wide_short_lag_scenario()
-        assert block_layout(wide)[1:] == (2, 48) and sub_block(wide) == 2
+        assert block_layout(wide)[1:] == (2, 48) and sub_block(wide) == 4
+
+    def test_sub_blocks_of_one_block_without_a_solve(self, monkeypatch):
+        # Short blocks are stepped one at a time when no multiple of the
+        # block keeps the solve within SOLVE_MAX.
+        monkeypatch.setattr(fracsolve, "SOLVE_MAX", 2**15)
+        scenario = wide_short_lag_scenario()
+        assert sub_block(scenario) == 2
+        monkeypatch.setattr(fracsolve, "_coupling_solve",
+                            lambda *args: pytest.fail("solved a sub-block of one block"))
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(24))
     def test_short_lags_solved_per_sub_block(self, seed, monkeypatch):
@@ -609,7 +696,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("scenario", [
         # Lag 200: 201-step blocks, advanced five 40-step panels at a time.
         parse_scenario(Path(__file__).parent / "golden" / "symmetric_integer_4agent.json"),
-        # Lag 5: solved sub-blocks.
+        # Lag 5: one solve per panel.
         pair_scenario(delay=0.005, horizon=5.0),
         pair_scenario(),
         leader_follower_scenario(),
@@ -688,8 +775,8 @@ class TestReferenceEquivalence:
             (pair_scenario(delay=0.06, initial=(1e308, -1e308)), True),
             (pair_scenario(initial=(1e308, -1e308)), True),
         ],
-        ids=["fractional", "integer", "integer_fft_block", "fractional_fft_block",
-             "first_input_fft_block", "first_input_zero_lag"],
+        ids=["fractional", "integer", "integer_long_block", "fractional_long_block",
+             "first_input_long_block", "first_input_zero_lag"],
     )
     def test_divergence_through_wide_fft_levels(self, scenario, states_match):
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -758,10 +845,10 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_divergence_in_the_second_solved_sub_block(self):
-        # The mixed-lags golden at gain 1000: 3-step blocks, 48-step panels
+        # The short-lags golden at gain 1000: 3-step blocks, 48-step panels
         # solved in two 24-step sub-blocks; the first state past LIMIT is
         # step 416, fed by input 415 in the second sub-block of its panel.
-        golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
+        golden = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
         scenario = replace(golden, gain=1000.0)
         steps, block, span = block_layout(scenario)
         size = sub_block(scenario)
