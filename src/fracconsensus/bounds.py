@@ -1,18 +1,20 @@
 """Closed-form sufficient delay bounds for delayed consensus.
 
-Both calculators return the largest delay (seconds) for which the
+Both calculators return the largest delay (seconds) for which the paper's
 frequency-domain argument certifies consensus:
 
 * ``degree_delay_bound``     pi / (2 * (2*gain*dmax)**(1/order)), any digraph
 * ``spectral_delay_bound``   pi / (2 * (gain*rho)**(1/order)), symmetric weights
 
 ``dmax`` is the largest row degree and ``rho`` the spectral radius of the
-Laplacian. The bounds are sufficient and in general not tight, and the degree
-and spectral variants are incomparable. ``bound_report`` takes each bound's
-minimum over the agents' orders. At order 1 the spectral bound is the
-integer-order bound ``pi / (2*gain*lambda_max)`` (symmetric weights make the
-Laplacian positive semidefinite, so ``lambda_max = rho``), and with one delay
-shared by every agent it is tight: the exact edge of stability.
+Laplacian. The degree bound is the paper's sufficient test at one frequency;
+it can fail where the Laplacian has complex eigenvalues (the directed 6-ring
+xfail in ``tests/test_freqcert.py``). The bounds are not tight in general,
+and neither dominates the other. ``bound_report`` takes each bound's minimum
+over the agents' orders. At order 1 the spectral bound is the integer-order
+bound ``pi / (2*gain*lambda_max)`` (symmetric weights make the Laplacian
+positive semidefinite, so ``lambda_max = rho``), and with one delay shared by
+every agent it is tight: the exact edge of stability.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def _max_degree(g: Digraph) -> float:
 
 
 def degree_delay_bound(g: Digraph, gain: float, order: float) -> float:
-    """Delay bound driven by the maximum row degree; applies to any digraph.
-
-    The consensus conclusion additionally needs a node whose influence
-    reaches the whole graph; this function only evaluates the bound value.
+    """Delay bound driven by the maximum row degree. It evaluates on any
+    digraph but, as the paper's test at one frequency, can fail to certify
+    where the Laplacian has complex eigenvalues. Consensus also needs a node
+    whose influence reaches the whole graph; this only evaluates the bound.
     """
     return mixed_order_delay_bound(g, gain, [order])[0]
 

@@ -71,9 +71,6 @@ def cmd_certify(args, scen) -> int:
     print("criterion values (per agent):",
           " ".join(f"{v:.6g}" for v in cert.criterion_values))
     print(f"criterion pass: {cert.criterion_pass}")
-    for margin in cert.disc_margins:
-        print(f"agent {margin.agent_id}: min disc margin {margin.min_margin:.6g} "
-              f"at omega {margin.omega_at_min:.6g}")
     loci = cert.loci
     print(f"right-half-plane roots: {'unresolved' if loci.roots is None else loci.roots}")
     for ev in loci.crossings:

@@ -5,21 +5,19 @@ The open-loop frequency response of the closed loop is
     G(jw) = gain * diag(w**(-a_i) * exp(-j*(a_i*pi/2 + w*tau_i))) * L,
 
 with ``a_i`` the agent order ``((jw)**a`` on the principal branch is
-``w**a * exp(j*a*pi/2)``) and ``L`` the graph Laplacian. Three kinds of
-evidence are computed:
+``w**a * exp(j*a*pi/2)``) and ``L`` the graph Laplacian. ``certify``
+combines three kinds of evidence:
 
 * the critical-frequency criterion ``2*gain*d_i*(pi/(2*tau_i))**(-a_i) < 1``,
   which places the point ``-1+j0`` outside agent i's Gerschgorin disc at the
   frequency where the disc centre points along the negative real axis;
-* the Gerschgorin disc margin over a whole frequency grid (diagnostic: the
-  margin is negative as w -> 0 even for comfortably stable systems, the
-  verdict therefore never keys on it);
 * the net encirclements of -1 by the eigenvalue loci of G(jw), read from the
   phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980),
   from one LU factorisation per grid frequency up to the first at or above
   ``max_i (2*gain*d_i)**(1/a_i)``, on the calling thread. Above that
   frequency Gerschgorin keeps every eigenvalue of G inside the unit circle,
-  so no locus can reach -1 there.
+  so no locus can reach -1 there;
+* whether some agent's influence reaches every other agent (a spanning root).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class DiscMargin:
-    """Grid minimum of one agent's disc margin and where it occurs."""
+    """Grid minimum of one agent's disc margin, where it occurs; ``certify`` does not run it."""
 
     agent_id: int
     min_margin: float
@@ -77,7 +75,6 @@ class CertificateResult:
     criterion_values: np.ndarray
     criterion_pass: bool
     spanning_root: bool
-    disc_margins: tuple[DiscMargin, ...]
     loci: LociResult
     verdict: Verdict
 
@@ -127,10 +124,10 @@ def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[Di
     ``1 + 2*gain*d_i*w**(-a_i)*cos(w*tau_i + a_i*pi/2)``.
 
     Positive margin means -1 lies outside the agent's Gerschgorin disc at
-    that frequency. Diagnostic only: for any delayed agent the margin tends
-    to ``1 - 2*gain*d_i*tau_i`` as w -> 0, which is commonly negative for
-    systems the critical-frequency criterion certifies; verdicts are keyed
-    on the criterion, not on this minimum.
+    that frequency. Diagnostic only, and ``certify`` does not run it: for
+    any delayed agent the margin tends to ``1 - 2*gain*d_i*tau_i`` as
+    w -> 0, which is commonly negative for systems the critical-frequency
+    criterion certifies.
     """
     results = []
     for agent, degree in zip(agents, degree_vector(g)):
@@ -260,7 +257,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
 
 
 def certify(g: Digraph, agents, gain: float) -> CertificateResult:
-    """Run all three evidence channels and combine them into a verdict.
+    """Combine the criterion, the loci count and the spanning root into a verdict.
 
     Fail without a spanning root, since no consensus is possible then;
     otherwise Pass when the critical-frequency criterion holds; otherwise
@@ -270,7 +267,6 @@ def certify(g: Digraph, agents, gain: float) -> CertificateResult:
     grid = omega_grid(agents)
     loci = eigen_loci(g, agents, gain, grid)  # first: it rejects a G(jw) that overflows
     values, passed = critical_frequency_criterion(g, agents, gain)
-    margins = disc_margin(g, agents, gain, grid)
     rooted = has_spanning_root(g)
     if rooted and passed:
         verdict = Verdict.PASS
@@ -283,7 +279,6 @@ def certify(g: Digraph, agents, gain: float) -> CertificateResult:
         criterion_values=values,
         criterion_pass=passed,
         spanning_root=rooted,
-        disc_margins=margins,
         loci=loci,
         verdict=verdict,
     )

@@ -110,23 +110,28 @@ def has_spanning_root(g: Digraph) -> bool:
 
     Information flows from sender ``k`` to receiver ``i`` whenever
     ``weights[i-1, k-1] > 0``. Exactly this condition makes the Laplacian
-    zero eigenvalue simple.
+    zero eigenvalue simple. After a search from every node not yet seen, no
+    node outside the last search reaches its root: only that root can span.
     """
-    w = g.weights
-    n = g.n
-    for root in range(n):
-        seen = np.zeros(n, dtype=bool)
+    receivers = [np.flatnonzero(column).tolist() for column in (g.weights > 0.0).T]
+
+    def search(root, seen):  # marks in ``seen`` every node ``root`` reaches
         seen[root] = True
         stack = [root]
         while stack:
-            v = stack.pop()
-            for i in np.flatnonzero(w[:, v] > 0.0):
+            for i in receivers[stack.pop()]:
                 if not seen[i]:
                     seen[i] = True
-                    stack.append(int(i))
-        if seen.all():
-            return True
-    return False
+                    stack.append(i)
+
+    seen = [False] * g.n
+    for node in range(g.n):
+        if not seen[node]:
+            root = node
+            search(root, seen)
+    reached = [False] * g.n
+    search(root, reached)
+    return all(reached)
 
 
 def spectrum(matrix: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -808,3 +809,16 @@ def test_every_export_is_used():
         if isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert exported and not exported - used, sorted(exported - used)
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps each (module, attribute) of WRAPPED on
+    # fracconsensus.<module>; a renamed or deleted function breaks it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, name) for module, name, *_ in tracing.WRAPPED
+               if not callable(getattr(importlib.import_module(f"fracconsensus.{module}"),
+                                       name, None))]
+    assert tracing.WRAPPED and not missing, missing

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -444,6 +445,26 @@ class TestLociMatchReference:
 
 
 class TestCertify:
+    def test_never_sweeps_the_disc_margin(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("certify ran the disc-margin sweep")
+
+        monkeypatch.setattr(freqcert, "disc_margin", boom)
+        for delay in (0.6, 0.8):
+            certify(demo_graph(), demo_agents(delay), 1.0)
+        fields = {f.name for f in dataclasses.fields(freqcert.CertificateResult)}
+        assert "disc_margins" not in fields
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the verdict does not key on the "
+                                           "root count")
+    def test_directed_ring_within_degree_bound_is_not_passed(self):
+        # Within the degree bound (0.7 < 0.785398), yet simulate diverges.
+        ring = directed_ring(6)
+        agents = tuple(AgentModel(id=i, order=1.0, delay=0.7) for i in range(1, 7))
+        assert 0.7 < degree_delay_bound(ring, 1.0, 1.0)
+        cert = certify(ring, agents, 1.0)
+        assert cert.loci.roots == 4 and cert.verdict is not Verdict.PASS
+
     def test_demo_delay_06_pass(self):
         cert = certify(demo_graph(), demo_agents(0.6), 1.0)
         assert cert.verdict is Verdict.PASS

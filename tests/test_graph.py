@@ -117,6 +117,45 @@ class TestSpanningRoot:
     def test_single_node(self):
         assert has_spanning_root(Digraph(n=1, weights=np.zeros((1, 1)))) is True
 
+    @staticmethod
+    def brute_force(g):
+        """Some row of the reflexive transitive closure is all True."""
+        reach = (g.weights > 0.0).T | np.eye(g.n, dtype=bool)  # reach[k, i]: k informs i
+        for _ in range(g.n):
+            reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        return bool(reach.all(axis=1).any())
+
+    @pytest.mark.parametrize("n, edges, rooted", [
+        (3, [], False),  # no edges
+        (1, [], True),
+        (4, [(1, 4, 1.0), (2, 1, 1.0), (3, 2, 1.0)], True),  # only node 4 is a root
+        (4, [(2, 1, 1.0), (3, 2, 1.0)], False),  # node 4 is cut off
+        (4, [(1, 2, 1.0), (3, 4, 1.0)], False),  # two components
+    ])
+    def test_small_cases_against_brute_force(self, n, edges, rooted):
+        g = Digraph.from_edges(n, edges)
+        assert has_spanning_root(g) is rooted
+        assert self.brute_force(g) is rooted
+
+    def test_random_digraphs_against_brute_force(self):
+        rng = np.random.default_rng(31)
+        rooted = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 10))
+            g = random_digraph(rng, n, edge_prob=float(rng.uniform(0.05, 0.5)))
+            expected = self.brute_force(g)
+            assert has_spanning_root(g) is expected
+            rooted += expected
+        assert 100 < rooted < 500
+
+    def test_long_path_rooted_at_its_last_node(self):
+        # 1 <- 2 <- ... <- 1000: only node 1000 reaches every node.
+        n = 1000
+        g = Digraph.from_edges(n, [(i, i + 1, 1.0) for i in range(1, n)])
+        assert has_spanning_root(g) is True
+        assert has_spanning_root(Digraph.from_edges(n, [(i, i + 1, 1.0)
+                                                        for i in range(2, n)])) is False
+
 
 class TestSpectrum:
     def test_symmetric_pair(self):
