@@ -214,9 +214,9 @@ def _exponential_sum(order: float, steps: int, span: int):
 # inputs as dense Toeplitz products; older inputs arrive through the running
 # sums of ``_exponential_sum``.
 DIRECT_MAX = 48
-# A panel's sub-blocks are as long as their solve matrix (``_coupling_solve``)
-# keeps within this many entries (1 MiB): a whole 48-step panel at n = 8 while
-# at most seven agents read states of their own panel.
+# A panel of short blocks is as long as its solve matrix (``_coupling_solve``)
+# keeps within this many entries (1 MiB): 48 steps at n = 8 while at most
+# seven agents read states of their own panel.
 SOLVE_MAX = 2**17
 # A run diverges at the first step where some state exceeds this in
 # magnitude; ``simulate`` refuses a scenario that could overflow before then.
@@ -224,17 +224,17 @@ LIMIT = 1e100
 
 
 def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
-    """The agents ``fast`` that read states of their own sub-block of
-    ``size`` steps, and the matrix that solves for their inputs there.
+    """The agents ``fast`` that read states of their own panel of ``size``
+    steps, and the matrix that solves for their inputs there.
 
-    Agent ``i``'s input ``t`` in the sub-block is
+    Agent ``i``'s input ``t`` in the panel is
 
         u[i, t] = v[i, t] + sum_j coef[i, j] * sum_m b[j, t - lag_i - 1 - m] * u[j, m],
 
-    where ``v`` is gathered from states that lack the sub-block's own
-    inputs, ``coef = -gain * h**order * L`` and ``b[j, r - m] =
-    toeplitz[j, r, m]``; the sum is empty unless ``lag_i + 1 < size``. The
-    other agents have ``u = v``, and ``u[fast] = tensordot(q, v, 2)``.
+    where ``v`` is gathered from states that lack the panel's own inputs,
+    ``coef = -gain * h**order * L`` and ``b[j, r - m] = toeplitz[j, r,
+    m]``; the sum is empty unless ``lag_i + 1 < size``. The other agents
+    have ``u = v``, and ``u[fast] = tensordot(q, v, 2)``.
 
     The system reads inputs ``t - m`` steps back with weights that depend on
     ``t - m`` only, so its inverse does too: ``q[f, t, j, m] = col[t - m,
@@ -252,7 +252,7 @@ def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
     first[:, :, 0] = np.eye(n)
     scale = coef[fast].T[:, :, None, None]
     for g in range(block, size, block):
-        # Input t of agent fast[f] reads the states after the sub-block's
+        # Input t of agent fast[f] reads the states after the panel's
         # inputs up to t - lag - 1: that row of the Toeplitz, or none when
         # negative.
         r = np.arange(g, min(g + block, size)) - lags[fast, None] - 1
@@ -282,53 +282,46 @@ def simulate(scenario: "Scenario") -> Trajectory:
     with the weights of ``integral_weights`` (all 1 for an integer-order
     agent, whose update is then forward Euler). Since ``u_k`` reads states
     at least ``min lag`` steps old, a block of ``min lag + 1`` inputs can
-    be formed at once from known states. Steps are cut into panels: the
-    longest multiple of the block within ``DIRECT_MAX`` steps, or, for a
-    longer block, ``ceil(block / DIRECT_MAX)`` equal panels within it. A
-    panel's states take its own and the previous panel's inputs as dense
-    Toeplitz products; every older input arrives through running sums over
-    the rates of ``_exponential_sum``, decayed by ``exp(-rate * span)`` once
-    per panel (order 1 is the single rate 0: a plain sum). The agents share
-    one set of rates, as only 14 of an order's rates depend on it, so one
-    matrix product per panel feeds every agent's sums and one reads them. A
-    block longer than ``DIRECT_MAX`` advances its panels at once, with a
-    log-depth scan of the sums across them. A panel of shorter blocks is
-    cut into sub-blocks: the longest multiple of the block that divides the
-    panel and whose ``_coupling_solve`` matrix fits in ``SOLVE_MAX``
-    entries, the whole panel unless many agents read states of their own
-    panel. A sub-block gathers its inputs from the states it reads and
-    solves for the inputs of the agents that read its own states (a
-    sub-block of one block solves nothing). A panel of one sub-block is
-    then advanced like a long block. A panel of several adds each
-    sub-block's inputs to every later state of the panel, and is advanced
-    past its end after its last sub-block. Only the current group's
-    inputs are kept. The cost is O(steps * rates) per agent (140 rates per
-    order at 20000 steps) plus a fixed interpreter cost per panel, sub-block
-    or long block. States before t = 0 equal the initial state. Delays are
-    rounded to the nearest grid multiple.
+    be formed at once from known states. Steps are cut into panels. For a
+    block within ``DIRECT_MAX`` steps a panel is the longest multiple of
+    the block within ``DIRECT_MAX`` whose ``_coupling_solve`` matrix fits
+    in ``SOLVE_MAX`` entries (one block always fits, and solves nothing);
+    a longer block is ``ceil(block / DIRECT_MAX)`` equal panels, a group
+    advanced at once, and a panel of short blocks is a group of its own.
+    A group gathers its inputs from the states it reads, solves for the
+    inputs of the agents that read its own states, and is advanced in one
+    pass. Its states take their own and the previous panel's inputs as
+    dense Toeplitz products; every older input arrives through running
+    sums over the rates of ``_exponential_sum``, decayed by ``exp(-rate *
+    span)`` once per panel (order 1 is the single rate 0: a plain sum),
+    with a log-depth scan of the sums across the group's panels. The
+    agents share one set of rates, as only 14 of an order's rates depend
+    on it, so one matrix product per group feeds every agent's sums and
+    one reads them. Only the current group's inputs are kept. The cost is
+    O(steps * rates) per agent (140 rates per order at 20000 steps) plus a
+    fixed interpreter cost per group. States before t = 0 equal the
+    initial state. Delays are rounded to the nearest grid multiple.
 
     Stepping stops early with ``diverged_at`` set at the first step where
     some ``|x_i|`` exceeds ``LIMIT`` (the first, if ``x(0)`` does). Each
-    sub-block (a long block's group is one) is checked right after its
-    inputs are added, before the next sub-block's inputs are gathered.
-    Nothing overflows before that check. A gathered input sums terms
-    ``-gain * h**order * a_ij`` times a difference of states: from checked
-    states it is at most ``grow * LIMIT``, ``grow = 2 * gain * max degree
-    * max h**order``. A solved input equals, but for rounding, the input
-    gathered from its sub-block's states once they hold it, so after the
-    check it is within that bound too. With each ``b_j <= 1``, a state is at
-    most ``LIMIT * (1 + steps * grow)`` before the inputs of its sub-block
-    arrive. Those are gathered from such states, and a solve adds at most
-    ``size * norm * grow`` times the bound, ``norm`` its matrix's row-sum
-    norm; the bound takes that factor ``1 + size * norm * grow`` once for
-    each of a panel's ``span // size`` sub-blocks, where one would do. A
-    running sum adds stored inputs with factors of at most 1, and the
-    weights a state takes from the sums are positive and add up to about
-    ``b_j <= 1``: the sums and every product stay within ``max(2 * max
-    degree * max(gain, 1), 32 * steps**2)`` times that bound, as does a
-    gathered input when ``h <= 1``; a scenario whose product reaches
-    ``exp(709)`` is refused, naming ``key 'edges'`` when the largest degree
-    exceeds the gain and ``key 'gain'`` otherwise.
+    group is checked right after its inputs are added, before the next
+    group's inputs are gathered. Nothing overflows before that check. A
+    gathered input sums terms ``-gain * h**order * a_ij`` times a
+    difference of states: from checked states it is at most ``grow *
+    LIMIT``, ``grow = 2 * gain * max degree * max h**order``. A solved
+    input equals, but for rounding, the input gathered from its panel's
+    states once they hold it, so after the check it is within that bound
+    too. With each ``b_j <= 1``, a state is at most ``LIMIT * (1 + steps *
+    grow)`` before the inputs of its group arrive. Those are gathered from
+    such states, and a solve adds at most ``span * norm * grow`` times the
+    bound, ``norm`` its matrix's row-sum norm: the bound takes the factor
+    ``1 + span * norm * grow`` once. A running sum adds stored inputs with
+    factors of at most 1, and the weights a state takes from the sums are
+    positive and add up to about ``b_j <= 1``: the sums and every product
+    stay within ``max(2 * max degree * max(gain, 1), 32 * steps**2)`` times
+    that bound, as does a gathered input when ``h <= 1``; a scenario whose
+    product reaches ``exp(709)`` is refused, naming ``key 'edges'`` when the
+    largest degree exceeds the gain and ``key 'gain'`` otherwise.
     """
     g = scenario.graph
     n = g.n
@@ -350,10 +343,13 @@ def simulate(scenario: "Scenario") -> Trajectory:
         base = pad - lags
         block = int(lags.min()) + 1
         # A panel is the longest multiple of the block within DIRECT_MAX
-        # steps; a longer block is ``count`` equal panels, a group of
+        # steps that keeps the solve for the agents with lag + 1 < s within
+        # SOLVE_MAX; a longer block is ``count`` equal panels, a group of
         # ``stride`` steps advanced at once.
         count = -(-block // DIRECT_MAX)
-        span = DIRECT_MAX // block * block or block // count
+        span = max((s for s in range(block, DIRECT_MAX + 1, block)
+                    if np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX),
+                   default=block // count)
         stride = count * span
         # Columns past the current group hold x(0) plus the sums added so
         # far; a column is final once its group is done. One panel past the
@@ -395,24 +391,18 @@ def simulate(scenario: "Scenario") -> Trajectory:
     # taken at its start; scan[0] carries them to the next group.
     scan = np.zeros((count + 1, n, rates.size))
 
-    # Sub-blocks: the longest multiple of the block that divides the group
-    # and keeps the solve for the agents with lag + 1 < s within SOLVE_MAX;
-    # a long block's group is one sub-block.
-    size = max((s for s in range(block, stride + 1, block)
-                if stride % s == 0 and np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX),
-               default=stride)
     solve, norm = None, 0.0
-    if size > block:
+    if span > block:
         # An absurd gain overflows the matrix; the bound below refuses it.
         with np.errstate(over="ignore", invalid="ignore"):
             coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
-            solve = _coupling_solve(coef, lags, near, size, block)
-            # The last row of q reads every input of the sub-block.
+            solve = _coupling_solve(coef, lags, near, span, block)
+            # The last row of q reads every input of the panel.
             norm = float(np.abs(solve[1][:, -1]).sum(axis=(1, 2)).max())
     degree = float(w.sum(axis=1).max())
     grow = 2 * gain * degree * float(step_pow.max())
     reach = (math.log(LIMIT * max(2 * degree * max(gain, 1.0), 32 * steps**2))
-             + math.log1p(steps * grow) + span // size * math.log1p(size * norm * grow))
+             + math.log1p(steps * grow) + math.log1p(span * norm * grow))
     if not reach < 709.0:
         # Blame the larger factor of the loop gain gain * degree.
         key, what = ("edges", "largest weighted in-degree") if degree > gain else ("gain", "gain")
@@ -424,61 +414,45 @@ def simulate(scenario: "Scenario") -> Trajectory:
     # coupling[j, i] = -gain * h**order_i * a_ij, so a gather sums the
     # weighted lagged differences straight into the inputs.
     coupling = (-gain * w * step_pow).T[:, :, None]
-    # other[j, i, t] + start: where flat holds x_j at agent i's lag, step
-    # start + t of a sub-block; own[i] = other[i, i].
-    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(size)
+    # other[j, i, t] + first: where flat holds x_j at agent i's lag, step
+    # first + t of a group; own[i] = other[i, i].
+    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(stride)
     own = other[range(n), range(n)]
+    grouped = inputs.reshape(n, count, span)
 
-    def advance(first, skip):
-        # The group's inputs reach its own panels (unless its sub-blocks
-        # added them: skip = span), the panel after each, and the sums.
-        u = inputs.reshape(n, count, span)
-        out = np.matmul(near[:, skip:], u.transpose(0, 2, 1)).transpose(0, 2, 1)
+    for first in range(0, steps, stride):
+        last = min(first + stride, steps)
+        m = last - first
+        # Inputs past the last step stay zero.
+        inputs[:, m:] = 0.0
+        u = inputs[:, :m]
+        # lagged[j, i, t] = x_j(t_{first+t} - tau_i), and differences
+        # first: identical states give exactly zero input.
+        lagged = flat[first:].take(other[:, :, :m])
+        np.subtract(flat[first:].take(own[:, :m]), lagged, out=lagged)
+        np.multiply(coupling, lagged, out=lagged)
+        np.add.reduce(lagged, axis=0, out=u)
+        if solve:
+            # The solve adds what the panel's own inputs feed back.
+            fast, q = solve
+            q = q[:, :m, :, :m].reshape(-1, u.size)
+            u[fast] = (q @ u.reshape(-1)).reshape(fast.size, m)
+        # The group's inputs reach its own panels, the panel after each,
+        # and the sums.
+        out = np.matmul(near, grouped.transpose(0, 2, 1)).transpose(0, 2, 1)
         panels = states[:, pad + first + 1 : pad + first + stride + span + 1]
         panels = panels.reshape(n, count + 1, span)
-        if not skip:
-            panels[:, :count] += out[:, :, :span]
-        np.matmul(u.transpose(1, 0, 2), push, out=scan[1:])
+        panels[:, :count] += out[:, :, :span]
+        np.matmul(grouped.transpose(1, 0, 2), push, out=scan[1:])
         for shift, decay in decays:
             scan[shift:] += decay * scan[:-shift]
         far = np.matmul(scan[:count] * factors, pull).transpose(1, 0, 2)
-        panels[:, 1:] += out[:, :, span - skip :] + far
+        panels[:, 1:] += out[:, :, span:] + far
         scan[0] = scan[count]
-
-    # A group of several sub-blocks adds each one's inputs to its panel as
-    # they are formed; a group of one sub-block is added by ``advance``.
-    stepped = size < stride
-    for first in range(0, steps, stride):
-        last = min(first + stride, steps)
-        # Inputs past the last step stay zero.
-        inputs[:, last - first :] = 0.0
-        for start in range(first, last, size):
-            stop = min(start + size, last)
-            m = stop - start
-            u = inputs[:, start - first : stop - first]
-            # lagged[j, i, t] = x_j(t_{start+t} - tau_i), and differences
-            # first: identical states give exactly zero input.
-            lagged = flat[start:].take(other[:, :, :m])
-            np.subtract(flat[start:].take(own[:, :m]), lagged, out=lagged)
-            np.multiply(coupling, lagged, out=lagged)
-            np.add.reduce(lagged, axis=0, out=u)
-            if solve:
-                # The gather read states that hold the panel's earlier
-                # sub-blocks; the solve adds what its own inputs feed back.
-                fast, q = solve
-                q = q[:, :m, :, :m].reshape(-1, u.size)
-                u[fast] = (q @ u.reshape(-1)).reshape(fast.size, m)
-            if stepped:
-                rest = states[:, pad + start + 1 : pad + last + 1]
-                rest += np.matmul(near[:, : last - start, :m], u[:, :, None])[:, :, 0]
-            else:
-                advance(first, 0)
-            done = states[:, pad + start + 1 : pad + stop + 1]
-            if max(done.max(), -done.min()) > LIMIT:
-                k = start + 1 + int(np.argmax((np.abs(done) > LIMIT).any(axis=0)))
-                return Trajectory(times=np.arange(k) * h, states=states[:, pad : pad + k].copy(),
-                                  diverged_at=k * h)
-        if stepped:
-            advance(first, span)
+        done = states[:, pad + first + 1 : pad + last + 1]
+        if max(done.max(), -done.min()) > LIMIT:
+            k = first + 1 + int(np.argmax((np.abs(done) > LIMIT).any(axis=0)))
+            return Trajectory(times=np.arange(k) * h, states=states[:, pad : pad + k].copy(),
+                              diverged_at=k * h)
 
     return Trajectory(times=np.arange(steps + 1) * h, states=states[:, pad : pad + steps + 1])

@@ -175,7 +175,7 @@ class TestGoldenOutput:
     # simulate exits 1 on it. mixed_lags_8agent is shaped like the benchmark's
     # simulate jobs: 3-step blocks in 48-step panels, lags up to 541 steps,
     # each panel one solve. short_lags_8agent has all eight lags below 48
-    # steps, so each panel is solved in two 24-step sub-blocks.
+    # steps, so the longest solve that fits is 45 steps, one per panel.
     # long_block_6agent (lags 80-310 steps) has 81-step blocks, longer than
     # DIRECT_MAX and advanced as two 40-step panels at a time.
     @pytest.mark.parametrize(

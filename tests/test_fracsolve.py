@@ -167,7 +167,7 @@ class TestNearTable:
 
 
 def dense_solve(coef, lags, orders, size):
-    """``(I - K)**-1`` for one sub-block's inputs, indexed ``[i, t, j, m]``,
+    """``(I - K)**-1`` for one panel's inputs, indexed ``[i, t, j, m]``,
     by a dense ``np.linalg.solve``: ``K[i, t, j, m] = coef[i, j] * b_j[t -
     lag_i - 1 - m]`` wherever that index is >= 0."""
     n = len(orders)
@@ -204,7 +204,7 @@ def three_agent_scenario(gain):
 
 class TestCouplingSolve:
     @pytest.mark.parametrize("build, size", [
-        # Lags 25 and 41 read no state of a 24-step sub-block; agent 1 reads
+        # Lags 25 and 41 read no state of a 24-step panel; agent 1 reads
         # agent 5, of lag 25.
         (lambda: replace(parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json"),
                          gain=40.0), 24),
@@ -228,7 +228,7 @@ class TestCouplingSolve:
         slow = np.setdiff1d(np.arange(n), fast)
         assert slow.size == 0 or np.any(coef[np.ix_(fast, slow)] != 0.0)
         expected = dense_solve(coef, lags, orders, size)
-        # An agent that reads no state of its own sub-block takes u = v.
+        # An agent that reads no state of its own panel takes u = v.
         assert np.array_equal(expected[slow], np.eye(n * size).reshape(n, size, n, size)[slow])
         assert np.max(np.abs(q - expected[fast])) <= 1e-14 * np.max(np.abs(expected))
         # Input t reads input m through t - m only: q is block Toeplitz, and
@@ -417,7 +417,7 @@ class TestSimulate:
         assert traj.times.size == traj.states.shape[1]
 
     def test_zero_delay_pair_speed(self):
-        # One-step blocks, each 48-step panel solved as one sub-block.
+        # One-step blocks, one solve per 48-step panel.
         scenario = pair_scenario()
         best = math.inf
         for _ in range(3):
@@ -473,7 +473,7 @@ def test_symmetric_fractional_pair_error_is_first_order(order, constant):
         scenario = replace(
             fractional_pair(0, 1.0, orders=(order, order)), solver=SolverParams(step=h, horizon=1.0)
         )
-        # One-step blocks, solved in sub-blocks of a whole panel.
+        # One-step blocks, one solve per 48-step panel.
         assert block_layout(scenario)[1:] == (1, 48) and sub_block(scenario) == 48
         traj = simulate(scenario)
         errors.append(traj.states[0, -1] - traj.states[1, -1] - exact)
@@ -553,35 +553,32 @@ def group_panels(scenario):
 
 def block_layout(scenario):
     """Steps, block length and panel length of ``simulate``: blocks of
-    ``min lag + 1`` steps; panels of the longest multiple of the block within
-    ``DIRECT_MAX`` steps, or the equal panels of a long block."""
+    ``min lag + 1`` steps; panels of the longest multiple ``s`` of the block
+    within ``DIRECT_MAX`` steps that keeps ``|F| * n * s**2`` within
+    ``fracsolve.SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 <
+    s``, or the equal panels of a long block."""
     h = scenario.solver.step
     steps = int(round(scenario.solver.horizon / h))
-    block = min(round(min(a.delay / h, steps)) for a in scenario.agents) + 1
-    return steps, block, DIRECT_MAX // block * block or block // group_panels(scenario)
+    lags = [round(min(a.delay / h, steps)) for a in scenario.agents]
+    block = min(lags) + 1
+    span = max(
+        (s for s in range(block, DIRECT_MAX + 1, block)
+         if sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= fracsolve.SOLVE_MAX),
+        default=block // group_panels(scenario),
+    )
+    return steps, block, span
 
 
 def sub_block(scenario):
-    """Sub-block length of ``simulate``: the longest multiple of the block
-    that divides the group and keeps ``|F| * n * s**2`` within
-    ``fracsolve.SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 <
-    s``; the whole group when there is none."""
-    h = scenario.solver.step
-    steps, block, span = block_layout(scenario)
-    stride = group_panels(scenario) * span
-    lags = [round(min(a.delay / h, steps)) for a in scenario.agents]
-    return max(
-        (s for s in range(block, stride + 1, block)
-         if stride % s == 0
-         and sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= fracsolve.SOLVE_MAX),
-        default=stride,
-    )
+    """Steps ``simulate`` gathers, solves and checks at once: one panel of
+    short blocks, or the group of a long block's equal panels."""
+    return group_panels(scenario) * block_layout(scenario)[2]
 
 
 def short_lag_scenario(seed):
     """Random digraph, n in 2..8, mixed orders, every lag in 0..47 steps and
-    one of them below 8, so the panel is solved in sub-blocks; the run ends
-    in a partial sub-block. Odd seeds take a gain that diverges."""
+    one of them below 8, so each panel takes a solve; the run ends in a
+    partial panel. Odd seeds take a gain that diverges."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
@@ -598,16 +595,14 @@ def short_lag_scenario(seed):
         solver=SolverParams(step=1e-3, horizon=1.0),
     )
     _, _, span = block_layout(scenario)
-    size = sub_block(scenario)
     tail = int(rng.integers(1, span))
-    tail -= tail % size == 0
     return replace(scenario, solver=SolverParams(step=1e-3, horizon=(40 * span + tail) * 1e-3))
 
 
 def wide_short_lag_scenario():
     """n = 64, mixed orders, lags of 1 to 3 steps, 0.5 s: a solve within
-    ``SOLVE_MAX`` spans at most two two-step blocks, so each 48-step panel
-    is solved in 12 sub-blocks of 4 steps."""
+    ``SOLVE_MAX`` spans at most two two-step blocks, so each panel is
+    one solve of 4 steps."""
     rng = np.random.default_rng(64)
     n = 64
     orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
@@ -621,6 +616,25 @@ def wide_short_lag_scenario():
     )
 
 
+def sparse_network_scenario():
+    """n = 64 on a sparse digraph: three in-edges for every agent but agent
+    1, which has none; mixed orders, lags of 1 to 300 steps, 600 steps."""
+    rng = np.random.default_rng(300)
+    n = 64
+    edges = [(i, int(k), float(rng.uniform(0.5, 1.5)))
+             for i in range(2, n + 1)
+             for k in rng.choice(np.delete(np.arange(1, n + 1), i - 1), 3, replace=False)]
+    orders = [1.0 if rng.random() < 0.4 else float(rng.uniform(0.3, 0.99)) for _ in range(n)]
+    lags = [1, 300] + [int(v) for v in rng.integers(1, 301, n - 2)]
+    return Scenario(
+        graph=Digraph.from_edges(n, edges),
+        agents=tuple(AgentModel(id=i + 1, order=orders[i], delay=lags[i] * 1e-3) for i in range(n)),
+        gain=0.5,
+        initial=tuple(rng.uniform(-1.0, 1.0, n)),
+        solver=SolverParams(step=1e-3, horizon=0.6),
+    )
+
+
 class TestReferenceEquivalence:
     """The block stepper against the per-step two-path reference stepper."""
 
@@ -631,8 +645,9 @@ class TestReferenceEquivalence:
             leader_follower_scenario(),
             demo_scenario(),
             wide_short_lag_scenario(),
+            sparse_network_scenario(),
         ],
-        ids=["pair", "leader_follower", "demo", "stepped_sub_blocks"],
+        ids=["pair", "leader_follower", "demo", "stepped_sub_blocks", "sparse_network"],
     )
     def test_property_scenarios(self, scenario):
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -652,24 +667,28 @@ class TestReferenceEquivalence:
         # Six agents read their own panel: one 48-step solve fits SOLVE_MAX.
         golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
         assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 48
-        # All eight do: the panel is solved in two 24-step sub-blocks.
+        # All eight do: the longest solve that fits is 45 steps.
         short = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
-        assert block_layout(short)[1:] == (3, 48) and sub_block(short) == 24
+        assert block_layout(short)[1:] == (3, 45) and sub_block(short) == 45
         assert block_layout(pair_scenario())[1:] == (1, 48) and sub_block(pair_scenario()) == 48
-        # A long block advances its equal panels as one sub-block.
+        # A long block advances its equal panels as one group.
         assert block_layout(demo_scenario())[1:] == (601, 46) and group_panels(demo_scenario()) == 13
         assert sub_block(demo_scenario()) == 13 * 46
         wide = wide_short_lag_scenario()
-        assert block_layout(wide)[1:] == (2, 48) and sub_block(wide) == 4
+        assert block_layout(wide)[1:] == (2, 4) and sub_block(wide) == 4
+        # 64 agents on 189 edges: a solve of ten 2-step blocks fits.
+        sparse = sparse_network_scenario()
+        assert np.count_nonzero(sparse.graph.weights, axis=1).tolist() == [0] + [3] * 63
+        assert block_layout(sparse) == (600, 2, 20) and sub_block(sparse) == 20
 
     def test_sub_blocks_of_one_block_without_a_solve(self, monkeypatch):
-        # Short blocks are stepped one at a time when no multiple of the
-        # block keeps the solve within SOLVE_MAX.
+        # A panel is one block, which solves nothing, when no longer
+        # multiple of the block keeps the solve within SOLVE_MAX.
         monkeypatch.setattr(fracsolve, "SOLVE_MAX", 2**15)
         scenario = wide_short_lag_scenario()
         assert sub_block(scenario) == 2
         monkeypatch.setattr(fracsolve, "_coupling_solve",
-                            lambda *args: pytest.fail("solved a sub-block of one block"))
+                            lambda *args: pytest.fail("solved a panel of one block"))
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
@@ -679,15 +698,14 @@ class TestReferenceEquivalence:
     def test_short_lags_solved_per_sub_block(self, seed, monkeypatch):
         scenario = short_lag_scenario(seed)
         steps, block, span = block_layout(scenario)
-        size = sub_block(scenario)
-        assert block < size <= span and steps % size
+        assert block < span == sub_block(scenario) and steps % span
         sizes = []
         solve = fracsolve._coupling_solve
         monkeypatch.setattr(
             fracsolve, "_coupling_solve", lambda *args: sizes.append(args[3]) or solve(*args)
         )
         traj, ref = simulate(scenario), reference_simulate(scenario)
-        assert sizes == [size]
+        assert sizes == [span]
         assert (ref.diverged_at is not None) == bool(seed % 2)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
@@ -845,18 +863,32 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_divergence_in_the_second_solved_sub_block(self):
-        # The short-lags golden at gain 1000: 3-step blocks, 48-step panels
-        # solved in two 24-step sub-blocks; the first state past LIMIT is
-        # step 416, fed by input 415 in the second sub-block of its panel.
+        # The short-lags golden at gain 1000, cut to 420 steps: 3-step
+        # blocks in solved 45-step panels, the last one partial, 15 steps
+        # from step 405. The first state past LIMIT is step 416, fed by
+        # input 415 in that panel.
         golden = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
-        scenario = replace(golden, gain=1000.0)
+        scenario = replace(golden, gain=1000.0, solver=SolverParams(step=1e-3, horizon=0.42))
         steps, block, span = block_layout(scenario)
-        size = sub_block(scenario)
-        assert (block, span, size) == (3, 48, 24)
+        assert (steps, block, span) == (420, 3, 45) and sub_block(scenario) == span
+        assert steps - steps % span == 405
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape == (8, 416)
-        assert 415 % span // size == 1
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_short_panels_bound_one_solve(self):
+        # Each group is checked before the next is gathered, so the growth
+        # bound takes one solve factor per group: gain 1e8 on 4-step panels
+        # runs, and ends Diverged with finite states and no floating-point
+        # error.
+        scenario = replace(wide_short_lag_scenario(), gain=1e8)
+        with np.errstate(all="raise"):
+            traj = simulate(scenario)
+        ref = reference_simulate(scenario)
+        assert traj.diverged_at is not None and traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_divergence_in_a_running_sum_panel(self):
