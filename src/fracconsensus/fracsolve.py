@@ -411,13 +411,23 @@ def simulate(scenario: "Scenario") -> Trajectory:
                          f"{LIMIT:g}")
 
     flat = states.reshape(-1)
-    # coupling[j, i] = -gain * h**order_i * a_ij, so a gather sums the
-    # weighted lagged differences straight into the inputs.
-    coupling = (-gain * w * step_pow).T[:, :, None]
-    # other[j, i, t] + first: where flat holds x_j at agent i's lag, step
-    # first + t of a group; own[i] = other[i, i].
-    other = (np.arange(n) * states.shape[1])[:, None, None] + base[:, None] + np.arange(stride)
-    own = other[range(n), range(n)]
+    # Each agent's in-edges in sender order, padded to the largest in-degree
+    # with the agent itself at weight 0: senders[k, i] is agent i's k-th
+    # sender j and coupling[k, i] = -gain * h**order_i * a_ij, so a gather
+    # sums the weighted lagged differences straight into the inputs, adding
+    # the nonzero terms in the order a sum over every agent would.
+    receivers, sources = np.nonzero(w)
+    slot = np.arange(receivers.size) - np.searchsorted(receivers, receivers)
+    width = int(np.count_nonzero(w, axis=1).max())
+    senders = np.tile(np.arange(n), (width, 1))
+    senders[slot, receivers] = sources
+    coupling = np.zeros((width, n, 1))
+    coupling[slot, receivers, 0] = (-gain * w * step_pow)[receivers, sources]
+    # other[k, i, t] + first: where flat holds x_{senders[k, i]} at agent
+    # i's lag, step first + t of a group; own[i] holds x_i there.
+    lagged_at = base[:, None] + np.arange(stride)
+    own = (np.arange(n) * states.shape[1])[:, None] + lagged_at
+    other = (senders * states.shape[1])[:, :, None] + lagged_at
     grouped = inputs.reshape(n, count, span)
 
     for first in range(0, steps, stride):
@@ -426,8 +436,8 @@ def simulate(scenario: "Scenario") -> Trajectory:
         # Inputs past the last step stay zero.
         inputs[:, m:] = 0.0
         u = inputs[:, :m]
-        # lagged[j, i, t] = x_j(t_{first+t} - tau_i), and differences
-        # first: identical states give exactly zero input.
+        # lagged[k, i, t] = x_j(t_{first+t} - tau_i) for j = senders[k, i],
+        # and differences first: identical states give exactly zero input.
         lagged = flat[first:].take(other[:, :, :m])
         np.subtract(flat[first:].take(own[:, :m]), lagged, out=lagged)
         np.multiply(coupling, lagged, out=lagged)

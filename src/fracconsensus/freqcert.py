@@ -13,7 +13,8 @@ combines three kinds of evidence:
   frequency where the disc centre points along the negative real axis;
 * the net encirclements of -1 by the eigenvalue loci of G(jw), read from the
   phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980),
-  from one LU factorisation per grid frequency up to the first at or above
+  from one LU factorisation of ``diag(w**a_i * exp(j*(a_i*pi/2 + w*tau_i)))
+  + gain*L`` per grid frequency up to the first at or above
   ``max_i (2*gain*d_i)**(1/a_i)``, on the calling thread. Above that
   frequency Gerschgorin keeps every eigenvalue of G inside the unit circle,
   so no locus can reach -1 there;
@@ -138,26 +139,43 @@ def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[Di
     return tuple(results)
 
 
-def _open_loop(omegas: np.ndarray, lap: np.ndarray, gain: float, agents, out=None):
-    """G(jw) at each of ``omegas``, one matrix per frequency (in ``out`` if given)."""
+def _open_loop(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
+    """G(jw) at each of ``omegas``, one matrix per frequency."""
     orders = np.array([a.order for a in agents])
     delays = np.array([a.delay for a in agents])
     w = omegas[:, None]
     scaling = w ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + w * delays))
-    matrices = np.multiply(scaling[:, :, None], lap, out=out)
-    return np.multiply(gain, matrices, out=matrices)
+    return gain * (scaling[:, :, None] * lap)
 
 
 def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
     """``exp(j*angle(det(I + G(jw))))`` at each of ``omegas`` from one LU
-    factorisation each, built ``LOCI_CHUNK`` frequencies at a time in one buffer."""
-    block = np.empty((LOCI_CHUNK,) + lap.shape, dtype=complex)
-    eye = np.eye(lap.shape[0])
+    factorisation each.
+
+    ``I + G = D*M`` with ``D = diag(w**-a_i * exp(-j*t_i))``, ``t_i =
+    a_i*pi/2 + w*tau_i`` and ``M = D**-1 + gain*L``, so the phase is that of
+    ``det M`` less ``sum_i t_i``. Since ``L``'s rows sum to zero, adding
+    every other column of ``M`` to its first turns that column into ``D**-1``'s
+    diagonal, leaving ``det M`` unchanged: at low frequency, where ``D**-1``
+    is small against ``gain*L``, its entries are then not lost to rounding.
+    A buffer of ``LOCI_CHUNK`` copies of ``gain*L`` takes each chunk's
+    diagonal and first column, which ``slogdet`` factorises.
+    """
+    orders = np.array([a.order for a in agents])
+    delays = np.array([a.delay for a in agents])
+    n = lap.shape[0]
+    block = np.empty((LOCI_CHUNK, n, n), dtype=complex)
+    block[:] = gain * lap
+    base = gain * np.diagonal(lap)
     phase = np.empty(omegas.size, dtype=complex)
     for start in range(0, omegas.size, LOCI_CHUNK):
-        w = omegas[start:start + LOCI_CHUNK]
-        matrices = _open_loop(w, lap, gain, agents, block[:w.size])
-        phase[start:start + w.size] = np.linalg.slogdet(np.add(matrices, eye, out=matrices))[0]
+        w = omegas[start:start + LOCI_CHUNK, None]
+        turn = orders * math.pi / 2.0 + w * delays
+        inverse = w ** orders * np.exp(1j * turn)  # the diagonal of D**-1
+        block[:w.size, range(n), range(n)] = base + inverse
+        block[:w.size, :, 0] = inverse
+        sign = np.linalg.slogdet(block[:w.size])[0]
+        phase[start:start + w.size] = sign * np.exp(-1j * turn.sum(axis=1))
     return phase
 
 

@@ -159,9 +159,13 @@ class TestBoundCommand:
 class TestGoldenOutput:
     # bound, curve and certify print deterministic results, so their default
     # output is frozen byte for byte in tests/golden/<config stem>.<command>.out.
+    # mesh_32agent is shaped like the benchmark's certify jobs: a 32-agent
+    # spanning-rooted digraph, half its agents of order 0.7-0.95, delays of
+    # 10-300 ms.
     @pytest.mark.parametrize("command", ["bound", "certify", "curve"])
     @pytest.mark.parametrize(
-        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json", MIXED_K4],
+        "config", [CONFIG, GOLDEN / "symmetric_integer_4agent.json", MIXED_K4,
+                   GOLDEN / "mesh_32agent.json"],
         ids=lambda p: p.stem,
     )
     def test_default_output(self, capsys, config, command):

@@ -663,7 +663,31 @@ class TestReferenceEquivalence:
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    def test_sub_block_sizes(self):
+    def test_in_degrees_from_none_to_every_other_agent(self):
+        # Agent perm[r] hears the r agents before it in perm: in-degrees 0
+        # to n - 1, so receivers take every amount of padding from 0 to n - 1.
+        rng = np.random.default_rng(12)
+        n = 10
+        perm = [int(v) + 1 for v in rng.permutation(n)]
+        edges = [(perm[r], perm[k], float(rng.uniform(0.5, 1.5)))
+                 for r in range(n) for k in range(r)]
+        scenario = Scenario(
+            graph=Digraph.from_edges(n, edges),
+            agents=tuple(AgentModel(id=i + 1,
+                                    order=float(rng.choice([1.0, rng.uniform(0.3, 0.99)])),
+                                    delay=int(rng.integers(1, 301)) * 1e-3) for i in range(n)),
+            gain=0.2,
+            initial=tuple(rng.uniform(-1.0, 1.0, n)),
+            solver=SolverParams(step=1e-3, horizon=0.6),
+        )
+        degrees = np.count_nonzero(scenario.graph.weights, axis=1)
+        assert sorted(degrees.tolist()) == list(range(n))
+        traj, ref = simulate(scenario), reference_simulate(scenario)
+        assert traj.diverged_at == ref.diverged_at
+        assert traj.states.shape == ref.states.shape
+        assert max_relative_difference(traj, ref) <= 1e-12
+
+    def test_panel_sizes(self):
         # Six agents read their own panel: one 48-step solve fits SOLVE_MAX.
         golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
         assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 48
@@ -681,7 +705,7 @@ class TestReferenceEquivalence:
         assert np.count_nonzero(sparse.graph.weights, axis=1).tolist() == [0] + [3] * 63
         assert block_layout(sparse) == (600, 2, 20) and sub_block(sparse) == 20
 
-    def test_sub_blocks_of_one_block_without_a_solve(self, monkeypatch):
+    def test_panels_of_one_block_without_a_solve(self, monkeypatch):
         # A panel is one block, which solves nothing, when no longer
         # multiple of the block keeps the solve within SOLVE_MAX.
         monkeypatch.setattr(fracsolve, "SOLVE_MAX", 2**15)
@@ -862,7 +886,7 @@ class TestReferenceEquivalence:
         assert np.all(np.abs(traj.states) <= LIMIT)
         assert max_relative_difference(traj, ref) <= 1e-12
 
-    def test_divergence_in_the_second_solved_sub_block(self):
+    def test_divergence_in_a_solved_partial_panel(self):
         # The short-lags golden at gain 1000, cut to 420 steps: 3-step
         # blocks in solved 45-step panels, the last one partial, 15 steps
         # from step 405. The first state past LIMIT is step 416, fed by

@@ -26,7 +26,8 @@ from fracconsensus import (
 from fracconsensus import freqcert
 from fracconsensus.freqcert import _det_phase
 from conftest import DEMO_ORDERS, demo_graph, random_digraph
-from reference_loci import characteristic_value, reference_count, reference_loci, sweep_top
+from reference_loci import (characteristic_phase, characteristic_value, reference_count,
+                            reference_loci, sweep_top)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "mixed_order_4agent.json"
 
@@ -153,6 +154,18 @@ class TestCharacteristicValue:
         value = characteristic_value(1.0, demo_graph(), demo_agents(0.6), 1.0)
         assert abs(value) > 0.0
 
+    def test_extended_precision_phase(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            g = random_digraph(rng, n, edge_prob=0.6)
+            agents = random_agents(rng, n)
+            gain = float(rng.uniform(0.1, 3.0))
+            grid = np.geomspace(0.01, 50.0, 7)
+            expected = [characteristic_value(float(w), g, agents, gain) for w in grid]
+            phase = np.exp(1j * characteristic_phase(grid, g, agents, gain))
+            assert np.allclose(phase, expected / np.abs(expected), rtol=0.0, atol=1e-12)
+
     def test_matches_eigenvalue_product(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
@@ -239,6 +252,27 @@ def mesh_case():
     agents = tuple(AgentModel(id=i + 1, order=float(orders[i]), delay=float(rng.uniform(0.01, 0.3)))
                    for i in range(32))
     return g, agents, float(rng.uniform(0.2, 1.0))
+
+
+def test_open_loop_serves_only_the_phase_sums(monkeypatch):
+    # The sweep factorises D**-1 + gain*L; G(jw) itself is formed only for
+    # the phase sums that bound and place the events of each run.
+    built, sums = [], []
+    open_loop, phase_sum = freqcert._open_loop, freqcert._phase_sum
+
+    def spy_open_loop(omegas, *args):
+        built.extend(omegas)
+        return open_loop(omegas, *args)
+
+    def spy_phase_sum(omega, *args):
+        sums.append(omega)
+        return phase_sum(omega, *args)
+
+    monkeypatch.setattr(freqcert, "_open_loop", spy_open_loop)
+    monkeypatch.setattr(freqcert, "_phase_sum", spy_phase_sum)
+    g, agents, gain = mesh_case()
+    eigen_loci(g, agents, gain, omega_grid(agents))
+    assert built == sums and 0 < len(sums) < 100
 
 
 class TestSweepTop:
@@ -396,8 +430,7 @@ class TestLociMatchReference:
         # det(diag((jw)**a) + gain*E*L) = prod((jw)**a_i) * det(I + G(jw)).
         phase = _det_phase(grid, laplacian(g), gain, agents)
         offset = sum(a.order for a in agents) * math.pi / 2.0
-        expected = np.array([np.angle(characteristic_value(float(w), g, agents, gain)) - offset
-                             for w in grid])
+        expected = characteristic_phase(grid, g, agents, gain) - offset
         assert np.abs(np.angle(phase * np.exp(-1j * expected))).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
@@ -408,6 +441,21 @@ class TestLociMatchReference:
         agents = random_agents(rng, n)
         grid = omega_grid(agents, points=int(rng.integers(100, 300)))
         self.check_phase(g, agents, float(rng.uniform(0.2, 3.0)), grid)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the oracle needs an extended-precision long double")
+    @pytest.mark.parametrize("seed", range(10))
+    def test_extreme_gain(self, seed):
+        # At gain 1e3 and w down to 1e-6, D**-1 is 1e-6 to 1e-1 against
+        # gain*L: a matrix that adds the two on every diagonal entry loses
+        # D**-1's low digits, which carry the phase of the nearly singular
+        # M = D**-1 + gain*L. A directed ring under the random edges gives L
+        # the one zero eigenvalue that _det_phase's first column removes.
+        rng = np.random.default_rng(2000 + seed)
+        n = int(rng.integers(2, 33))
+        weights = random_digraph(rng, n, edge_prob=float(rng.uniform(0.1, 0.6))).weights
+        g = Digraph(n=n, weights=weights + np.roll(np.eye(n), 1, axis=1))
+        self.check_phase(g, random_agents(rng, n), 1e3, np.geomspace(1e-6, 1e3, 150))
 
     @pytest.mark.parametrize("gain", [1, 2, 3])
     @pytest.mark.parametrize("points", [1, 31, 32, 33, 2048])
