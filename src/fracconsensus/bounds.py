@@ -1,20 +1,24 @@
 """Closed-form sufficient delay bounds for delayed consensus.
 
 Both calculators return the largest delay (seconds) for which the paper's
-frequency-domain argument certifies consensus:
+frequency-domain argument certifies consensus, ``pi/2/disc_frequency(gain,
+scale, order)``:
 
-* ``degree_delay_bound``     pi / (2 * (2*gain*dmax)**(1/order)), any digraph
-* ``spectral_delay_bound``   pi / (2 * (gain*rho)**(1/order)), symmetric weights
+* ``degree_delay_bound``     ``scale = 2*dmax``, any digraph
+* ``spectral_delay_bound``   ``scale = rho``, symmetric weights
 
 ``dmax`` is the largest row degree and ``rho`` the spectral radius of the
-Laplacian. The degree bound is the paper's sufficient test at one frequency;
-it can fail where the Laplacian has complex eigenvalues (the directed 6-ring
-xfail in ``tests/test_freqcert.py``). The bounds are not tight in general,
-and neither dominates the other. ``bound_report`` takes each bound's minimum
-over the agents' orders. At order 1 the spectral bound is the integer-order
-bound ``pi / (2*gain*lambda_max)`` (symmetric weights make the Laplacian
-positive semidefinite, so ``lambda_max = rho``), and with one delay shared by
-every agent it is tight: the exact edge of stability.
+Laplacian. ``disc_reach`` and ``disc_frequency`` own the Gerschgorin disc
+test that ``freqcert``'s criterion and sweep top share: -1 lies outside agent
+i's disc of G(jw) where ``disc_reach(gain, 2*d_i, a_i, w) < 1``, that is
+above ``disc_frequency(gain, 2*d_i, a_i)``. The degree bound is the paper's test at
+one frequency; it can fail where the Laplacian has complex eigenvalues (the
+directed 6-ring xfail in ``tests/test_freqcert.py``). The bounds are not
+tight in general, and neither dominates the other. ``bound_report`` takes
+each bound's minimum over the agents' orders. At order 1 the spectral bound
+is the integer-order bound ``pi / (2*gain*lambda_max)`` (symmetric weights
+make the Laplacian positive semidefinite, so ``lambda_max = rho``), and with
+one delay shared by every agent it is tight: the exact edge of stability.
 """
 
 from __future__ import annotations
@@ -41,27 +45,34 @@ def _check_gain(gain: float) -> None:
         raise ValueError(f"gain must be positive, got {gain}")
 
 
-def _root_bound(gain: float, scale: float, order: float) -> float:
-    """``pi / (2*(gain*scale)**(1/order))``, the form both bounds share.
+def disc_reach(gain, scale, orders, omega):
+    """``gain*scale*omega**-orders``, floats or arrays: how far a disc of G(jw)
+    reaches from the origin. -1 lies outside agent i's Gerschgorin disc, whose
+    ``scale`` is ``2*d_i``, wherever this reach is below 1."""
+    return gain * scale * omega ** -orders
 
-    ``scale`` is finite (``Digraph`` keeps ``2*dmax``, and so ``rho``, finite);
-    raises ``OverflowError`` naming the gain when the power overflows. The
-    result is infinite when the power underflows; ``_smallest`` rejects that.
-    """
-    try:
-        root = (gain * scale) ** (1.0 / order)
-    except OverflowError:
-        root = math.inf
-    if math.isinf(root):
-        raise OverflowError(f"gain {gain:.6g} overflows the delay bound "
-                            f"(gain*{scale:.6g})**(1/{order:g})")
-    return math.pi / 2.0 / root if root else math.inf  # not pi / (2*root): 2*root can overflow
+
+def disc_frequency(gain, scale, orders):
+    """``(gain*scale)**(1/orders)``, the frequency where ``disc_reach`` is 1."""
+    return (gain * scale) ** (1.0 / orders)
 
 
 def _smallest(gain: float, scale: float, orders) -> tuple[float, float]:
-    """Smallest ``_root_bound`` over ``orders`` and the order attaining it;
-    raises ``BoundTooLargeError`` when even that bound is not finite."""
-    bound, order = min((_root_bound(gain, scale, a), a) for a in sorted(orders))
+    """Smallest ``pi/2/disc_frequency(gain, scale, a)`` over ``orders`` and the
+    order attaining it; ``scale`` is finite (``Digraph`` keeps ``2*dmax``, and
+    so ``rho``, finite). Raises ``OverflowError`` naming the gain when a
+    frequency overflows, ``BoundTooLargeError`` when the smallest bound does."""
+    candidates = []
+    for a in sorted(orders):
+        try:
+            root = disc_frequency(gain, scale, a)
+        except OverflowError:
+            root = math.inf
+        if math.isinf(root):
+            raise OverflowError(f"gain {gain:.6g} overflows the delay bound "
+                                f"(gain*{scale:.6g})**(1/{a:g})")
+        candidates.append((math.pi / 2.0 / root if root else math.inf, a))  # 2*root can overflow
+    bound, order = min(candidates)
     if math.isinf(bound):
         raise BoundTooLargeError(f"gain {gain:.6g} puts the delay bound "
                                  f"pi/2/(gain*{scale:.6g})**(1/{order:g}) past the float range")
@@ -106,16 +117,13 @@ def spectral_delay_bound(g: Digraph, gain: float, order: float) -> float:
 
 
 def max_gain_for_delay(g: Digraph, order: float, delay: float) -> float:
-    """Largest gain whose degree bound still covers ``delay``.
-
-    Analytic inverse of ``degree_delay_bound`` in the gain argument:
-    ``(pi / (2*delay))**order / (2*dmax)``.
-    """
+    """Largest gain whose degree bound still covers ``delay``: the analytic
+    inverse of ``degree_delay_bound``, where ``disc_reach(gain, 2*dmax, order,
+    pi/(2*delay))`` is 1."""
     _check_order(order)
     if not delay > 0.0:
         raise ValueError(f"delay must be positive, got {delay}")
-    dmax = _max_degree(g)
-    return (math.pi / (2.0 * delay)) ** order / (2.0 * dmax)
+    return 1.0 / disc_reach(1.0, 2.0 * _max_degree(g), order, math.pi / (2.0 * delay))
 
 
 def mixed_order_delay_bound(g: Digraph, gain: float, orders) -> tuple[float, float]:

@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .graph import degree_vector, laplacian
+
 if TYPE_CHECKING:
     from .scenario import Scenario
 
@@ -395,11 +397,11 @@ def simulate(scenario: "Scenario") -> Trajectory:
     if span > block:
         # An absurd gain overflows the matrix; the bound below refuses it.
         with np.errstate(over="ignore", invalid="ignore"):
-            coef = -gain * step_pow * (np.diag(w.sum(axis=1)) - w)
+            coef = -gain * step_pow * laplacian(g)
             solve = _coupling_solve(coef, lags, near, span, block)
             # The last row of q reads every input of the panel.
             norm = float(np.abs(solve[1][:, -1]).sum(axis=(1, 2)).max())
-    degree = float(w.sum(axis=1).max())
+    degree = float(degree_vector(g).max())
     grow = 2 * gain * degree * float(step_pow.max())
     reach = (math.log(LIMIT * max(2 * degree * max(gain, 1.0), 32 * steps**2))
              + math.log1p(steps * grow) + math.log1p(span * norm * grow))

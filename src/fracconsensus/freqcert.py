@@ -8,16 +8,17 @@ with ``a_i`` the agent order ``((jw)**a`` on the principal branch is
 ``w**a * exp(j*a*pi/2)``) and ``L`` the graph Laplacian. ``certify``
 combines three kinds of evidence:
 
-* the critical-frequency criterion ``2*gain*d_i*(pi/(2*tau_i))**(-a_i) < 1``,
-  which places the point ``-1+j0`` outside agent i's Gerschgorin disc at the
-  frequency where the disc centre points along the negative real axis;
+* the critical-frequency criterion ``disc_reach(gain, 2*d_i, a_i,
+  pi/(2*tau_i)) < 1``, which places the point ``-1+j0`` outside agent i's
+  Gerschgorin disc at the frequency where the disc centre points along the
+  negative real axis;
 * the net encirclements of -1 by the eigenvalue loci of G(jw), read from the
   phase of det(I + G(jw)) (generalized Nyquist criterion, Desoer-Wang 1980),
   from one LU factorisation of ``diag(w**a_i * exp(j*(a_i*pi/2 + w*tau_i)))
   + gain*L`` per grid frequency up to the first at or above
-  ``max_i (2*gain*d_i)**(1/a_i)``, on the calling thread. Above that
-  frequency Gerschgorin keeps every eigenvalue of G inside the unit circle,
-  so no locus can reach -1 there;
+  ``max_i disc_frequency(gain, 2*d_i, a_i)``, on the calling thread. Above
+  that frequency Gerschgorin keeps every eigenvalue of G inside the unit
+  circle, so no locus can reach -1 there;
 * whether some agent's influence reaches every other agent (a spanning root).
 """
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import disc_frequency, disc_reach
 from .graph import Digraph, degree_vector, has_spanning_root, laplacian
 
 MAX_DENSE_NODES = 64
@@ -82,10 +84,11 @@ class CertificateResult:
 
 def omega_grid(agents=(), low: float = 1e-3, high: float = 1e3, points: int = 2000) -> np.ndarray:
     """Read-only, strictly increasing log-spaced frequencies (rad/s) plus
-    each delayed agent's critical frequencies.
+    the delayed agents' critical frequencies below ``low``.
 
     For every agent with delay ``tau > 0`` the frequencies ``pi/(2*tau)``
-    and ``(2 - order)*pi/(2*tau)`` are inserted exactly.
+    and ``(2 - order)*pi/(2*tau)`` are inserted exactly where they lie below
+    ``low``, so the grid starts at or below the largest delay's ``pi/(2*tau)``.
     """
     if not 0.0 < low < high:
         raise ValueError(f"need 0 < low < high, got ({low}, {high})")
@@ -96,7 +99,7 @@ def omega_grid(agents=(), low: float = 1e-3, high: float = 1e3, points: int = 20
     for agent in agents:
         if agent.delay > 0.0:
             critical = math.pi / (2.0 * agent.delay)
-            extra.extend([critical, (2.0 - agent.order) * critical])
+            extra.extend(w for w in (critical, (2.0 - agent.order) * critical) if w < low)
     if extra:
         values = np.unique(np.concatenate([values, np.asarray(extra)]))
     values.setflags(write=False)
@@ -106,17 +109,15 @@ def omega_grid(agents=(), low: float = 1e-3, high: float = 1e3, points: int = 20
 def critical_frequency_criterion(g: Digraph, agents, gain: float) -> tuple[np.ndarray, bool]:
     """Disc test at each agent's critical frequency with test point -1.
 
-    Returns per-agent values ``v_i = 2*gain*d_i*(pi/(2*tau_i))**(-order_i)``
-    and the overall pass flag ``max(v) < 1``. Agents with zero delay have no
-    critical frequency and contribute 0 (a system with no delays passes
-    trivially).
+    Returns per-agent values ``v_i = disc_reach(gain, 2*d_i, order_i,
+    pi/(2*tau_i))`` and the overall pass flag ``max(v) < 1``. A zero delay
+    puts the critical frequency at infinity, where the reach is 0 (a system
+    with no delays passes trivially).
     """
-    degrees = degree_vector(g)
-    values = np.zeros(g.n)
-    for i, agent in enumerate(agents):
-        if agent.delay > 0.0:
-            critical = math.pi / (2.0 * agent.delay)
-            values[i] = 2.0 * gain * degrees[i] * critical ** (-agent.order)
+    orders = np.array([a.order for a in agents])
+    with np.errstate(divide="ignore", over="ignore"):
+        critical = math.pi / (2.0 * np.array([a.delay for a in agents]))
+    values = disc_reach(gain, 2.0 * degree_vector(g), orders, critical)
     return values, bool(values.max() < 1.0)
 
 
@@ -132,20 +133,11 @@ def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[Di
     """
     results = []
     for agent, degree in zip(agents, degree_vector(g)):
-        margins = 1.0 + 2.0 * gain * degree * omegas ** (-agent.order) * np.cos(
+        margins = 1.0 + disc_reach(gain, 2.0 * degree, agent.order, omegas) * np.cos(
             omegas * agent.delay + agent.order * math.pi / 2.0)
         k = int(np.argmin(margins))
         results.append(DiscMargin(agent.id, float(margins[k]), float(omegas[k])))
     return tuple(results)
-
-
-def _open_loop(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
-    """G(jw) at each of ``omegas``, one matrix per frequency."""
-    orders = np.array([a.order for a in agents])
-    delays = np.array([a.delay for a in agents])
-    w = omegas[:, None]
-    scaling = w ** (-orders) * np.exp(-1j * (orders * math.pi / 2.0 + w * delays))
-    return gain * (scaling[:, :, None] * lap)
 
 
 def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
@@ -179,10 +171,11 @@ def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.n
     return phase
 
 
-def _phase_sum(omega: float, lap: np.ndarray, gain: float, agents) -> float:
-    """``sum_k angle(1 + lambda_k(jw))`` from one eigenproblem."""
+def _phase_sum(omega: float, lap: np.ndarray, gain: float, orders, delays) -> float:
+    """``sum_k angle(1 + lambda_k(jw))`` from one eigenproblem of G(jw)."""
+    scaling = omega ** -orders * np.exp(-1j * (orders * math.pi / 2.0 + omega * delays))
     try:
-        values = np.linalg.eigvals(_open_loop(np.array([omega]), lap, gain, agents)[0])
+        values = np.linalg.eigvals(gain * (scaling[:, None] * lap))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"key 'edges' is invalid: eigenvalues of G(jw) did not converge "
@@ -213,12 +206,13 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
                          f"got {g.n}")
     lap = laplacian(g)
     orders = np.array([a.order for a in agents])
-    scale = np.abs(lap).sum(axis=1)  # Gerschgorin row sums of |G| per unit gain*w**-a
-    tau = max(a.delay for a in agents)
+    delays = np.array([a.delay for a in agents])
+    scale = 2.0 * degree_vector(g)  # Gerschgorin row sums of |L|
+    tau = delays.max()
     with np.errstate(over="ignore"):
-        reach = scale * omegas[0] ** -orders
+        reach = disc_reach(1.0, scale, orders, omegas[0])
         bottom = (gain * reach).max()
-        inside = ((gain * scale) ** (1.0 / orders)).max()  # every |lambda| < 1 above this
+        inside = disc_frequency(gain, scale, orders).max()  # every |lambda| < 1 above this
     if not np.isfinite(bottom):
         overflow = f"G(jw) overflows at omega {omegas[0]:.6g}"
         if tau > 0.0 and omegas[0] == math.pi / (2.0 * tau):  # the largest delay set the bottom
@@ -250,10 +244,10 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     events, jump = [], 0
     runs = np.flatnonzero(np.diff(np.r_[0, ~unresolved, 0])).reshape(-1, 2)
     for start, end in runs:  # points[start:end + 1] bound a run of resolved steps
-        base = _phase_sum(points[start], lap, gain, agents) - unwrapped[start]
+        base = _phase_sum(points[start], lap, gain, orders, delays) - unwrapped[start]
 
         def count(m):  # net jumps of S between points[start] and points[m]
-            s = _phase_sum(points[m], lap, gain, agents)
+            s = _phase_sum(points[m], lap, gain, orders, delays)
             return round((s - unwrapped[m] - base) / math.tau)
 
         total = count(end)

@@ -215,12 +215,7 @@ def parse_scenario(path) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict:
     """JSON-ready mapping; ``parse_scenario`` of its dump reproduces the input."""
     w = scenario.graph.weights
-    edges = [
-        [i + 1, k + 1, float(w[i, k])]
-        for i in range(scenario.graph.n)
-        for k in range(scenario.graph.n)
-        if w[i, k] != 0.0
-    ]
+    edges = [[int(i) + 1, int(k) + 1, float(w[i, k])] for i, k in zip(*np.nonzero(w))]
     return {
         "n": scenario.graph.n,
         "edges": edges,

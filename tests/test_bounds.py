@@ -10,12 +10,15 @@ import pytest
 
 import fracconsensus.bounds as bounds
 from fracconsensus import (
+    AgentModel,
     Digraph,
     InapplicableBoundError,
     Trajectory,
     bound_report,
     caputo_of_monomial,
+    critical_frequency_criterion,
     degree_delay_bound,
+    degree_vector,
     gain_delay_curve,
     gl_caputo_estimate,
     max_gain_for_delay,
@@ -157,6 +160,47 @@ class TestIntegerAndSharedBounds:
             assert report.spectral_bound == pytest.approx(math.pi / (2.0 * 1.2 * lam_max),
                                                           rel=1e-9)
             found += 1
+
+
+class TestDiscRule:
+    """``disc_reach`` and ``disc_frequency`` own the Gerschgorin disc rule
+    that the critical-frequency criterion and the degree bound apply."""
+
+    @staticmethod
+    def case(seed):
+        """Random digraph of 2-32 agents with at least one edge, mixed orders
+        including 1, about a quarter of the delays zero, and a random gain."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 33))
+        weights = random_digraph(rng, n, edge_prob=0.2).weights.copy()
+        weights[1, 0] = 1.0
+        orders = rng.choice([1.0, 0.95, 0.8, 0.55, 0.3], n)
+        delays = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.01, 2.0, n))
+        agents = tuple(AgentModel(id=i + 1, order=float(orders[i]), delay=float(delays[i]))
+                       for i in range(n))
+        return Digraph(n=n, weights=weights), agents, float(rng.uniform(0.05, 5.0))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_criterion_and_degree_bound_apply_it(self, seed):
+        g, agents, gain = self.case(seed)
+        orders = np.array([a.order for a in agents])
+        delays = np.array([a.delay for a in agents])
+        scale = 2.0 * degree_vector(g)
+        values, _ = critical_frequency_criterion(g, agents, gain)
+        with np.errstate(divide="ignore"):
+            critical = math.pi / (2.0 * delays)
+        assert np.array_equal(values, bounds.disc_reach(gain, scale, orders, critical))
+        assert np.all(values[delays == 0.0] == 0.0)
+
+        dmax = float(degree_vector(g).max())
+        assert mixed_order_delay_bound(g, gain, orders) == min(
+            (math.pi / 2.0 / bounds.disc_frequency(gain, 2.0 * dmax, a), a)
+            for a in set(orders.tolist()))
+
+        fed = scale > 0.0  # an agent without in-edges has no disc
+        top = bounds.disc_frequency(gain, scale[fed], orders[fed])
+        np.testing.assert_allclose(bounds.disc_reach(gain, scale[fed], orders[fed], top), 1.0,
+                                   rtol=1e-13)
 
 
 class TestGainInversion:

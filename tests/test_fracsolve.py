@@ -474,7 +474,7 @@ def test_symmetric_fractional_pair_error_is_first_order(order, constant):
             fractional_pair(0, 1.0, orders=(order, order)), solver=SolverParams(step=h, horizon=1.0)
         )
         # One-step blocks, one solve per 48-step panel.
-        assert block_layout(scenario)[1:] == (1, 48) and sub_block(scenario) == 48
+        assert block_layout(scenario)[1:] == (1, 48) and group_steps(scenario) == 48
         traj = simulate(scenario)
         errors.append(traj.states[0, -1] - traj.states[1, -1] - exact)
     for coarse, fine in zip(errors, errors[1:]):
@@ -569,7 +569,7 @@ def block_layout(scenario):
     return steps, block, span
 
 
-def sub_block(scenario):
+def group_steps(scenario):
     """Steps ``simulate`` gathers, solves and checks at once: one panel of
     short blocks, or the group of a long block's equal panels."""
     return group_panels(scenario) * block_layout(scenario)[2]
@@ -647,7 +647,7 @@ class TestReferenceEquivalence:
             wide_short_lag_scenario(),
             sparse_network_scenario(),
         ],
-        ids=["pair", "leader_follower", "demo", "stepped_sub_blocks", "sparse_network"],
+        ids=["pair", "leader_follower", "demo", "short_panels", "sparse_network"],
     )
     def test_property_scenarios(self, scenario):
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -690,27 +690,27 @@ class TestReferenceEquivalence:
     def test_panel_sizes(self):
         # Six agents read their own panel: one 48-step solve fits SOLVE_MAX.
         golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
-        assert block_layout(golden)[1:] == (3, 48) and sub_block(golden) == 48
+        assert block_layout(golden)[1:] == (3, 48) and group_steps(golden) == 48
         # All eight do: the longest solve that fits is 45 steps.
         short = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
-        assert block_layout(short)[1:] == (3, 45) and sub_block(short) == 45
-        assert block_layout(pair_scenario())[1:] == (1, 48) and sub_block(pair_scenario()) == 48
+        assert block_layout(short)[1:] == (3, 45) and group_steps(short) == 45
+        assert block_layout(pair_scenario())[1:] == (1, 48) and group_steps(pair_scenario()) == 48
         # A long block advances its equal panels as one group.
         assert block_layout(demo_scenario())[1:] == (601, 46) and group_panels(demo_scenario()) == 13
-        assert sub_block(demo_scenario()) == 13 * 46
+        assert group_steps(demo_scenario()) == 13 * 46
         wide = wide_short_lag_scenario()
-        assert block_layout(wide)[1:] == (2, 4) and sub_block(wide) == 4
+        assert block_layout(wide)[1:] == (2, 4) and group_steps(wide) == 4
         # 64 agents on 189 edges: a solve of ten 2-step blocks fits.
         sparse = sparse_network_scenario()
         assert np.count_nonzero(sparse.graph.weights, axis=1).tolist() == [0] + [3] * 63
-        assert block_layout(sparse) == (600, 2, 20) and sub_block(sparse) == 20
+        assert block_layout(sparse) == (600, 2, 20) and group_steps(sparse) == 20
 
     def test_panels_of_one_block_without_a_solve(self, monkeypatch):
         # A panel is one block, which solves nothing, when no longer
         # multiple of the block keeps the solve within SOLVE_MAX.
         monkeypatch.setattr(fracsolve, "SOLVE_MAX", 2**15)
         scenario = wide_short_lag_scenario()
-        assert sub_block(scenario) == 2
+        assert group_steps(scenario) == 2
         monkeypatch.setattr(fracsolve, "_coupling_solve",
                             lambda *args: pytest.fail("solved a panel of one block"))
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -722,7 +722,7 @@ class TestReferenceEquivalence:
     def test_short_lags_solved_per_sub_block(self, seed, monkeypatch):
         scenario = short_lag_scenario(seed)
         steps, block, span = block_layout(scenario)
-        assert block < span == sub_block(scenario) and steps % span
+        assert block < span == group_steps(scenario) and steps % span
         sizes = []
         solve = fracsolve._coupling_solve
         monkeypatch.setattr(
@@ -745,7 +745,7 @@ class TestReferenceEquivalence:
         demo_scenario(),
         wide_short_lag_scenario(),
         parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json"),
-    ], ids=["long_blocks", "short_lags", "pair", "leader_follower", "demo", "stepped_sub_blocks",
+    ], ids=["long_blocks", "short_lags", "pair", "leader_follower", "demo", "short_panels",
             "mixed_lags"])
     def test_order_one_runs_without_transforms(self, scenario, monkeypatch):
         # Order 1 is the single rate 0 of the running sums, and every other
@@ -894,7 +894,7 @@ class TestReferenceEquivalence:
         golden = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
         scenario = replace(golden, gain=1000.0, solver=SolverParams(step=1e-3, horizon=0.42))
         steps, block, span = block_layout(scenario)
-        assert (steps, block, span) == (420, 3, 45) and sub_block(scenario) == span
+        assert (steps, block, span) == (420, 3, 45) and group_steps(scenario) == span
         assert steps - steps % span == 405
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at

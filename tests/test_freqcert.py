@@ -66,12 +66,14 @@ class TestOmegaGrid:
             grid[0] = 1.0
 
     def test_inserts_critical_frequencies(self):
-        agents = demo_agents(delay=0.6)
-        grid = omega_grid(agents)
-        critical = math.pi / 1.2
-        assert critical in grid
+        # Only critical frequencies below the log grid are inserted: the
+        # grid then starts at the largest delay's pi/(2*tau).
+        assert np.array_equal(omega_grid(demo_agents(delay=0.6)), omega_grid())
+        grid = omega_grid(demo_agents(delay=1e4))
+        critical = math.pi / 2e4
+        assert grid[0] == critical
         assert 1.1 * critical in grid  # order-0.9 agents
-        assert (2.0 - 1.0) * critical in grid
+        assert len(grid) == 2002
 
     def test_zero_delay_agents_add_nothing(self):
         assert len(omega_grid(demo_agents(delay=0.0))) == 2000
@@ -255,24 +257,25 @@ def mesh_case():
 
 
 def test_open_loop_serves_only_the_phase_sums(monkeypatch):
-    # The sweep factorises D**-1 + gain*L; G(jw) itself is formed only for
-    # the phase sums that bound and place the events of each run.
-    built, sums = [], []
-    open_loop, phase_sum = freqcert._open_loop, freqcert._phase_sum
-
-    def spy_open_loop(omegas, *args):
-        built.extend(omegas)
-        return open_loop(omegas, *args)
+    # The sweep factorises D**-1 + gain*L; G(jw) itself is formed, and its
+    # eigenvalues found, only for the phase sums that bound and place the
+    # events of each run: a few run ends, not the ~1300 swept frequencies.
+    sums, eigenproblems = [], []
+    phase_sum, eigvals = freqcert._phase_sum, np.linalg.eigvals
 
     def spy_phase_sum(omega, *args):
         sums.append(omega)
         return phase_sum(omega, *args)
 
-    monkeypatch.setattr(freqcert, "_open_loop", spy_open_loop)
+    def spy_eigvals(matrix):
+        eigenproblems.append(matrix.shape)
+        return eigvals(matrix)
+
     monkeypatch.setattr(freqcert, "_phase_sum", spy_phase_sum)
+    monkeypatch.setattr(freqcert.np.linalg, "eigvals", spy_eigvals)
     g, agents, gain = mesh_case()
     eigen_loci(g, agents, gain, omega_grid(agents))
-    assert built == sums and 0 < len(sums) < 100
+    assert eigenproblems == [(32, 32)] * len(sums) and 0 < len(sums) < 100
 
 
 class TestSweepTop:
