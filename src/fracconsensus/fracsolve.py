@@ -216,9 +216,8 @@ def _exponential_sum(order: float, steps: int, span: int):
 # inputs as dense Toeplitz products; older inputs arrive through the running
 # sums of ``_exponential_sum``.
 DIRECT_MAX = 48
-# A panel of short blocks is as long as its solve matrix (``_coupling_solve``)
-# keeps within this many entries (1 MiB): 48 steps at n = 8 while at most
-# seven agents read states of their own panel.
+# A panel of short blocks keeps its solve (``_coupling_solve``) within this
+# many multiply-adds: 48 steps at n = 8 with at most seven agents solved.
 SOLVE_MAX = 2**17
 # A run diverges at the first step where some state exceeds this in
 # magnitude; ``simulate`` refuses a scenario that could overflow before then.
@@ -227,7 +226,7 @@ LIMIT = 1e100
 
 def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
     """The agents ``fast`` that read states of their own panel of ``size``
-    steps, and the matrix that solves for their inputs there.
+    steps, and the blocked matrix that solves for their inputs there.
 
     Agent ``i``'s input ``t`` in the panel is
 
@@ -236,15 +235,16 @@ def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
     where ``v`` is gathered from states that lack the panel's own inputs,
     ``coef = -gain * h**order * L`` and ``b[j, r - m] = toeplitz[j, r,
     m]``; the sum is empty unless ``lag_i + 1 < size``. The other agents
-    have ``u = v``, and ``u[fast] = tensordot(q, v, 2)``.
+    have ``u = v``.
 
     The system reads inputs ``t - m`` steps back with weights that depend on
-    ``t - m`` only, so its inverse does too: ``q[f, t, j, m] = col[t - m,
-    fast[f], j]`` for ``t >= m`` and 0 above, with ``col`` the inverse's
-    first block column, ``col[d] = [d == 0] + sum_m K[d - m] @ col[m]``. An
-    input reads only inputs at least ``block`` steps earlier, so ``col`` is
-    built ``block`` differences at a time from the ones before them, and
-    expanded once into ``q``.
+    ``t - m`` only, so its inverse is ``col[t - m]`` at ``t >= m``, with
+    ``col[d] = [d == 0] + sum_m K[d - m] @ col[m]`` its first block column,
+    built ``block`` differences at a time (an input reads only inputs at
+    least ``block`` steps earlier). In sub-blocks of ``b`` steps, input ``s``
+    of sub-block ``c`` is ``T[(f, s), (d, j, r)] = col[d*b + s - r, fast[f],
+    j]`` (0 at a negative lag) times ``v[j, (c - d)*b + r]`` (0 before it);
+    ``b`` balances reading ``T`` against gathering ``v``, 20 times dearer.
     """
     n = coef.shape[0]
     fast = np.flatnonzero(lags + 1 < size)
@@ -254,18 +254,17 @@ def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
     first[:, :, 0] = np.eye(n)
     scale = coef[fast].T[:, :, None, None]
     for g in range(block, size, block):
-        # Input t of agent fast[f] reads the states after the panel's
-        # inputs up to t - lag - 1: that row of the Toeplitz, or none when
-        # negative.
+        # Input t of agent fast[f] reads the states after the panel's inputs
+        # up to t - lag - 1: that row of the Toeplitz, or none when negative.
         r = np.arange(g, min(g + block, size)) - lags[fast, None] - 1
         # kern[j, f, t, m]: how input g + t of agent fast[f] reads input m of agent j.
         kern = np.where(r[:, :, None] >= 0, toeplitz[:, np.maximum(r, 0), :g], 0.0) * scale
         group = np.tensordot(kern, first[:, :, :g], axes=([0, 3], [0, 2]))
         first[fast, :, g : g + block] = group.transpose(0, 2, 1)
-    # window[f, j, s, w] = padded[fast[f], j, s + w], so q[f, t, j, m] is
-    # window[f, j, t + 1, size - 1 - m].
-    window = np.lib.stride_tricks.sliding_window_view(padded[fast], size, axis=2)
-    return fast, np.ascontiguousarray(window[:, :, 1:, ::-1].transpose(0, 2, 1, 3))
+    b = min((d for d in range(block, size + 1, block) if size % d == 0),
+            key=lambda d: fast.size * d + 20 * size / d)
+    lag_of = np.arange(0, size, b)[:, None, None] + np.arange(b)[:, None] - np.arange(b)
+    return fast, b, padded[fast][:, :, size + lag_of].transpose(0, 3, 2, 1, 4).reshape(-1, n * size)
 
 
 def simulate(scenario: "Scenario") -> Trajectory:
@@ -286,8 +285,8 @@ def simulate(scenario: "Scenario") -> Trajectory:
     at least ``min lag`` steps old, a block of ``min lag + 1`` inputs can
     be formed at once from known states. Steps are cut into panels. For a
     block within ``DIRECT_MAX`` steps a panel is the longest multiple of
-    the block within ``DIRECT_MAX`` whose ``_coupling_solve`` matrix fits
-    in ``SOLVE_MAX`` entries (one block always fits, and solves nothing);
+    the block within ``DIRECT_MAX`` whose ``_coupling_solve`` product fits
+    in ``SOLVE_MAX`` multiply-adds (one block fits and solves nothing);
     a longer block is ``ceil(block / DIRECT_MAX)`` equal panels, a group
     advanced at once, and a panel of short blocks is a group of its own.
     A group gathers its inputs from the states it reads, solves for the
@@ -356,9 +355,10 @@ def simulate(scenario: "Scenario") -> Trajectory:
         # Columns past the current group hold x(0) plus the sums added so
         # far; a column is final once its group is done. One panel past the
         # last group takes what that group feeds forward. Only the current
-        # group's inputs are kept.
+        # group's inputs are kept, after ``span`` zeros that the solve reads.
         states = np.repeat(x0[:, None], pad + -(-steps // stride) * stride + span + 1, axis=1)
-        inputs = np.empty((n, stride))
+        held = np.zeros((n, span + stride))
+        inputs = held[:, span:]
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ValueError(
             f"key 'solver' is invalid: {scenario.solver.horizon / h:.3g} steps "
@@ -398,9 +398,12 @@ def simulate(scenario: "Scenario") -> Trajectory:
         # An absurd gain overflows the matrix; the bound below refuses it.
         with np.errstate(over="ignore", invalid="ignore"):
             coef = -gain * step_pow * laplacian(g)
-            solve = _coupling_solve(coef, lags, near, span, block)
-            # The last row of q reads every input of the panel.
-            norm = float(np.abs(solve[1][:, -1]).sum(axis=(1, 2)).max())
+            fast, b, solve = _coupling_solve(coef, lags, near, span, block)
+            # The last input of a sub-block reads every input of the panel.
+            norm = float(np.abs(solve[b - 1 :: b]).sum(axis=1).max())
+        # held.take(gather)[(d, j, r), c] = u[j, (c - d)*b + r], zero for c < d.
+        at = (np.arange(n) * held.shape[1] + span)[:, None] - np.arange(0, span, b)[:, None, None]
+        gather = (at + np.arange(b)).reshape(-1, 1) + np.arange(0, span, b)
     degree = float(degree_vector(g).max())
     grow = 2 * gain * degree * float(step_pow.max())
     reach = (math.log(LIMIT * max(2 * degree * max(gain, 1.0), 32 * steps**2))
@@ -413,23 +416,20 @@ def simulate(scenario: "Scenario") -> Trajectory:
                          f"{LIMIT:g}")
 
     flat = states.reshape(-1)
-    # Each agent's in-edges in sender order, padded to the largest in-degree
-    # with the agent itself at weight 0: senders[k, i] is agent i's k-th
-    # sender j and coupling[k, i] = -gain * h**order_i * a_ij, so a gather
-    # sums the weighted lagged differences straight into the inputs, adding
-    # the nonzero terms in the order a sum over every agent would.
+    # senders[0, i] = i, then agent i's senders j in order, padded to the
+    # largest in-degree with i, and coupling[k - 1, i] = -gain * h**order_i
+    # * a_ij (0 for padding): a gather sums the weighted lagged differences
+    # into the inputs in the order a sum over every agent would.
     receivers, sources = np.nonzero(w)
     slot = np.arange(receivers.size) - np.searchsorted(receivers, receivers)
     width = int(np.count_nonzero(w, axis=1).max())
-    senders = np.tile(np.arange(n), (width, 1))
-    senders[slot, receivers] = sources
+    senders = np.tile(np.arange(n), (width + 1, 1))
+    senders[slot + 1, receivers] = sources
     coupling = np.zeros((width, n, 1))
     coupling[slot, receivers, 0] = (-gain * w * step_pow)[receivers, sources]
     # other[k, i, t] + first: where flat holds x_{senders[k, i]} at agent
-    # i's lag, step first + t of a group; own[i] holds x_i there.
-    lagged_at = base[:, None] + np.arange(stride)
-    own = (np.arange(n) * states.shape[1])[:, None] + lagged_at
-    other = (senders * states.shape[1])[:, :, None] + lagged_at
+    # i's lag, step first + t of a group.
+    other = (senders * states.shape[1] + base)[:, :, None] + np.arange(stride)
     grouped = inputs.reshape(n, count, span)
 
     for first in range(0, steps, stride):
@@ -438,17 +438,17 @@ def simulate(scenario: "Scenario") -> Trajectory:
         # Inputs past the last step stay zero.
         inputs[:, m:] = 0.0
         u = inputs[:, :m]
-        # lagged[k, i, t] = x_j(t_{first+t} - tau_i) for j = senders[k, i],
-        # and differences first: identical states give exactly zero input.
+        # lagged[k, i, t] = x_j(t_{first+t} - tau_i), j = senders[k, i] (i at
+        # k = 0); differences first: identical states give exactly zero input.
         lagged = flat[first:].take(other[:, :, :m])
-        np.subtract(flat[first:].take(own[:, :m]), lagged, out=lagged)
+        lagged, own = lagged[1:], lagged[0]
+        np.subtract(own, lagged, out=lagged)
         np.multiply(coupling, lagged, out=lagged)
         np.add.reduce(lagged, axis=0, out=u)
-        if solve:
+        if solve is not None:
             # The solve adds what the panel's own inputs feed back.
-            fast, q = solve
-            q = q[:, :m, :, :m].reshape(-1, u.size)
-            u[fast] = (q @ u.reshape(-1)).reshape(fast.size, m)
+            solved = (solve @ held.take(gather)).reshape(fast.size, b, -1)
+            u[fast] = solved.transpose(0, 2, 1).reshape(fast.size, span)[:, :m]
         # The group's inputs reach its own panels, the panel after each,
         # and the sums.
         out = np.matmul(near, grouped.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -462,7 +462,7 @@ def simulate(scenario: "Scenario") -> Trajectory:
         panels[:, 1:] += out[:, :, span:] + far
         scan[0] = scan[count]
         done = states[:, pad + first + 1 : pad + last + 1]
-        if max(done.max(), -done.min()) > LIMIT:
+        if np.abs(done).max() > LIMIT:
             k = first + 1 + int(np.argmax((np.abs(done) > LIMIT).any(axis=0)))
             return Trajectory(times=np.arange(k) * h, states=states[:, pad : pad + k].copy(),
                               diverged_at=k * h)

@@ -202,29 +202,56 @@ def three_agent_scenario(gain):
     )
 
 
+def expand_blocked(blocked, b, n, size):
+    """The dense ``q[f, t, j, m]`` of ``_coupling_solve``'s blocked matrix
+    ``T[(f, s), (d, j, r)]``: ``q`` at ``t = c*b + s`` and ``m = (c - d)*b
+    + r`` is that entry for ``d <= c`` and 0 for ``d > c``."""
+    k = size // b
+    parts = blocked.reshape(-1, b, k, n, b)
+    q = np.zeros((parts.shape[0], k, b, n, k, b))
+    for c in range(k):
+        for d in range(c + 1):
+            q[:, c, :, :, c - d] = parts[:, :, d]
+    return q.reshape(-1, size, n, size)
+
+
+COUPLING_CASES = pytest.mark.parametrize("build, size", [
+    # Lags 25 and 41 read no state of a 24-step panel; agent 1 reads
+    # agent 5, of lag 25.
+    (lambda: replace(parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json"),
+                     gain=40.0), 24),
+    (lambda: fractional_pair(0, 30.0, orders=(0.6, 0.85)), 48),
+    (lambda: three_agent_scenario(20.0), 12),
+], ids=["short_lags_golden", "zero_lag_pair", "three_agents"])
+
+
+def coupling_solve(scenario, size):
+    """``_coupling_solve`` for a panel of ``size`` steps of ``scenario``,
+    with its coefficients and lags."""
+    h = scenario.solver.step
+    orders = [agent.order for agent in scenario.agents]
+    lags = np.array([round(agent.delay / h) for agent in scenario.agents])
+    w = scenario.graph.weights
+    coef = -scenario.gain * np.array([h**order for order in orders])[:, None] * (
+        np.diag(w.sum(axis=1)) - w)
+    gap = np.subtract.outer(np.arange(size), np.arange(size))
+    toeplitz = np.array([np.where(gap < 0, 0.0, integral_weights(order, size)[gap])
+                         for order in orders])
+    return coef, lags, fracsolve._coupling_solve(coef, lags, toeplitz, size, int(lags.min()) + 1)
+
+
 class TestCouplingSolve:
-    @pytest.mark.parametrize("build, size", [
-        # Lags 25 and 41 read no state of a 24-step panel; agent 1 reads
-        # agent 5, of lag 25.
-        (lambda: replace(parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json"),
-                         gain=40.0), 24),
-        (lambda: fractional_pair(0, 30.0, orders=(0.6, 0.85)), 48),
-        (lambda: three_agent_scenario(20.0), 12),
-    ], ids=["short_lags_golden", "zero_lag_pair", "three_agents"])
+    @COUPLING_CASES
     def test_matches_dense_solve(self, build, size):
         scenario = build()
-        h = scenario.solver.step
         orders = [agent.order for agent in scenario.agents]
         n = len(orders)
-        lags = np.array([round(agent.delay / h) for agent in scenario.agents])
-        w = scenario.graph.weights
-        coef = -scenario.gain * np.array([h**order for order in orders])[:, None] * (
-            np.diag(w.sum(axis=1)) - w)
-        gap = np.subtract.outer(np.arange(size), np.arange(size))
-        toeplitz = np.array([np.where(gap < 0, 0.0, integral_weights(order, size)[gap])
-                             for order in orders])
-        fast, q = fracsolve._coupling_solve(coef, lags, toeplitz, size, int(lags.min()) + 1)
+        coef, lags, (fast, b, blocked) = coupling_solve(scenario, size)
         assert fast.tolist() == np.flatnonzero(lags + 1 < size).tolist()
+        # Sub-blocks are whole blocks that tile the panel.
+        assert b % (lags.min() + 1) == 0 and size % b == 0
+        assert blocked.shape == (fast.size * b, n * size)
+        q = expand_blocked(blocked, b, n, size)
         slow = np.setdiff1d(np.arange(n), fast)
         assert slow.size == 0 or np.any(coef[np.ix_(fast, slow)] != 0.0)
         expected = dense_solve(coef, lags, orders, size)
@@ -235,6 +262,33 @@ class TestCouplingSolve:
         # so, to rounding, is the dense inverse.
         assert toeplitz_residual(q) == 0.0
         assert toeplitz_residual(expected) <= 1e-14 * np.max(np.abs(expected))
+
+    @COUPLING_CASES
+    def test_blocked_product_on_a_short_group(self, build, size):
+        # A last group of m < size steps has zero inputs past m: input s of
+        # sub-block c takes T times v[j, (c - d)*b + r], zero outside [0, m),
+        # and its first m inputs are the dense solve's.
+        scenario = build()
+        n = len(scenario.agents)
+        _, lags, (fast, b, blocked) = coupling_solve(scenario, size)
+        if lags.min() == 0:
+            # One-step blocks still take sub-blocks of several steps.
+            assert b > 1
+        q = expand_blocked(blocked, b, n, size)
+        k = size // b
+        rng = np.random.default_rng(size)
+        for m in sorted({1, b - 1, b + 1, size // 2, size - 1} & set(range(1, size))):
+            v = np.zeros((n, size))
+            v[:, :m] = rng.uniform(-1.0, 1.0, (n, m))
+            gathered = np.zeros((k, n, b, k))
+            for c in range(k):
+                for d in range(c + 1):
+                    gathered[d, :, :, c] = v[:, (c - d) * b : (c - d + 1) * b]
+            product = (blocked @ gathered.reshape(-1, k)).reshape(fast.size, b, k)
+            product = product.transpose(0, 2, 1).reshape(fast.size, size)
+            dense = (q[:, :m, :, :m].reshape(fast.size * m, -1) @ v[:, :m].reshape(-1))
+            dense = dense.reshape(fast.size, m)
+            assert np.max(np.abs(product[:, :m] - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 class TestCaputoOfMonomial:
