@@ -267,6 +267,31 @@ def _coupling_solve(coef, lags, toeplitz, size: int, block: int):
     return fast, b, padded[fast][:, :, size + lag_of].transpose(0, 3, 2, 1, 4).reshape(-1, n * size)
 
 
+def _plan(scenario: "Scenario"):
+    """How ``simulate`` cuts a run: ``steps``, the ``lags`` in steps, the
+    ``block``, and ``count`` panels of ``span`` steps a group.
+
+    Delays round to the nearest grid multiple. A lag past the horizon only
+    ever reads the prehistory, so lags clip at ``steps``. As ``u_k`` reads
+    states at least ``min lag`` steps old, a block of ``min lag + 1`` inputs
+    can be formed at once from known states. A panel is the longest multiple
+    of the block within ``DIRECT_MAX`` steps whose ``_coupling_solve``
+    product, for the agents with ``lag + 1 < span``, fits in ``SOLVE_MAX``
+    multiply-adds (one block fits and solves nothing), a group of its own. A
+    longer block is ``count = ceil(block / DIRECT_MAX)`` equal panels, a
+    group advanced at once. Nothing of the run is allocated.
+    """
+    h = scenario.solver.step
+    steps = int(round(scenario.solver.horizon / h))
+    lags = np.array([round(min(agent.delay / h, steps)) for agent in scenario.agents])
+    block = int(lags.min()) + 1
+    count = -(-block // DIRECT_MAX)
+    span = max((s for s in range(block, DIRECT_MAX + 1, block)
+                if np.count_nonzero(lags + 1 < s) * lags.size * s * s <= SOLVE_MAX),
+               default=block // count)
+    return steps, lags, block, span, count
+
+
 def simulate(scenario: "Scenario") -> Trajectory:
     """Integrate the delayed closed loop of a validated scenario.
 
@@ -281,27 +306,20 @@ def simulate(scenario: "Scenario") -> Trajectory:
         x_K = x(0) + sum_{j=0..K-1} b_j * h**order * u_{K-1-j}
 
     with the weights of ``integral_weights`` (all 1 for an integer-order
-    agent, whose update is then forward Euler). Since ``u_k`` reads states
-    at least ``min lag`` steps old, a block of ``min lag + 1`` inputs can
-    be formed at once from known states. Steps are cut into panels. For a
-    block within ``DIRECT_MAX`` steps a panel is the longest multiple of
-    the block within ``DIRECT_MAX`` whose ``_coupling_solve`` product fits
-    in ``SOLVE_MAX`` multiply-adds (one block fits and solves nothing);
-    a longer block is ``ceil(block / DIRECT_MAX)`` equal panels, a group
-    advanced at once, and a panel of short blocks is a group of its own.
-    A group gathers its inputs from the states it reads, solves for the
-    inputs of the agents that read its own states, and is advanced in one
-    pass. Its states take their own and the previous panel's inputs as
-    dense Toeplitz products; every older input arrives through running
-    sums over the rates of ``_exponential_sum``, decayed by ``exp(-rate *
-    span)`` once per panel (order 1 is the single rate 0: a plain sum),
-    with a log-depth scan of the sums across the group's panels. The
-    agents share one set of rates, as only 14 of an order's rates depend
-    on it, so one matrix product per group feeds every agent's sums and
-    one reads them. Only the current group's inputs are kept. The cost is
-    O(steps * rates) per agent (140 rates per order at 20000 steps) plus a
-    fixed interpreter cost per group. States before t = 0 equal the
-    initial state. Delays are rounded to the nearest grid multiple.
+    agent, whose update is then forward Euler). Steps are cut into panels
+    and groups of panels as ``_plan`` says. A group gathers its inputs from
+    the states it reads, solves for the inputs of the agents that read its
+    own states, and is advanced in one pass. Its states take their own and
+    the previous panel's inputs as dense Toeplitz products; every older
+    input arrives through running sums over the rates of
+    ``_exponential_sum``, decayed by ``exp(-rate * span)`` once per panel
+    (order 1 is the single rate 0: a plain sum), with a log-depth scan of
+    the sums across the group's panels. The agents share one set of rates,
+    as only 14 of an order's rates depend on it, so one matrix product per
+    group feeds every agent's sums and one reads them. Only the current
+    group's inputs are kept. The cost is O(steps * rates) per agent (140
+    rates per order at 20000 steps) plus a fixed interpreter cost per group.
+    States before t = 0 equal the initial state.
 
     Stepping stops early with ``diverged_at`` set at the first step where
     some ``|x_i|`` exceeds ``LIMIT`` (the first, if ``x(0)`` does). Each
@@ -336,21 +354,9 @@ def simulate(scenario: "Scenario") -> Trajectory:
     # A step count beyond what numpy can allocate (a step tiny against the
     # horizon) is reported against the scenario key that set it.
     try:
-        steps = int(round(scenario.solver.horizon / h))
-        # A lag past the horizon only ever reads the prehistory, so lags clip
-        # at ``steps`` and the prehistory never needs more than ``steps`` columns.
-        lags = np.array([round(min(agent.delay / h, steps)) for agent in scenario.agents])
+        steps, lags, block, span, count = _plan(scenario)
         pad = int(lags.max())
         base = pad - lags
-        block = int(lags.min()) + 1
-        # A panel is the longest multiple of the block within DIRECT_MAX
-        # steps that keeps the solve for the agents with lag + 1 < s within
-        # SOLVE_MAX; a longer block is ``count`` equal panels, a group of
-        # ``stride`` steps advanced at once.
-        count = -(-block // DIRECT_MAX)
-        span = max((s for s in range(block, DIRECT_MAX + 1, block)
-                    if np.count_nonzero(lags + 1 < s) * n * s * s <= SOLVE_MAX),
-                   default=block // count)
         stride = count * span
         # Columns past the current group hold x(0) plus the sums added so
         # far; a column is final once its group is done. One panel past the

@@ -140,7 +140,7 @@ def disc_margin(g: Digraph, agents, gain: float, omegas: np.ndarray) -> tuple[Di
     return tuple(results)
 
 
-def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.ndarray:
+def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, orders, delays) -> np.ndarray:
     """``exp(j*angle(det(I + G(jw))))`` at each of ``omegas`` from one LU
     factorisation each.
 
@@ -153,8 +153,6 @@ def _det_phase(omegas: np.ndarray, lap: np.ndarray, gain: float, agents) -> np.n
     A buffer of ``LOCI_CHUNK`` copies of ``gain*L`` takes each chunk's
     diagonal and first column, which ``slogdet`` factorises.
     """
-    orders = np.array([a.order for a in agents])
-    delays = np.array([a.delay for a in agents])
     n = lap.shape[0]
     block = np.empty((LOCI_CHUNK, n, n), dtype=complex)
     block[:] = gain * lap
@@ -226,7 +224,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
     # Above ``inside`` every 1 + lambda_k stays in the right half-plane, so
     # no step past the first grid point there can change the count.
     points = omegas[:np.searchsorted(omegas, inside) + 1]
-    phase = _det_phase(points, lap, gain, agents)
+    phase = _det_phase(points, lap, gain, orders, delays)
     for rounds in range(REFINE_ROUNDS + 1):
         turns = np.angle(phase[1:] * phase[:-1].conj())  # wrapped phase change of each step
         # Below ``inside`` a step that turns w*tau by more than RESOLVED_STEP
@@ -238,7 +236,7 @@ def eigen_loci(g: Digraph, agents, gain: float, omegas: np.ndarray) -> LociResul
             break
         mid = np.sqrt(points[split]) * np.sqrt(points[split + 1])  # the product can underflow
         points = np.insert(points, split + 1, mid)
-        phase = np.insert(phase, split + 1, _det_phase(mid, lap, gain, agents))
+        phase = np.insert(phase, split + 1, _det_phase(mid, lap, gain, orders, delays))
     unwrapped = np.concatenate(([0.0], np.cumsum(turns)))
 
     events, jump = [], 0

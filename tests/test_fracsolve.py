@@ -26,7 +26,7 @@ from fracconsensus import (
 )
 import fracconsensus.fracsolve as fracsolve
 from fracconsensus.fracsolve import (
-    DIRECT_MAX, LIMIT, _exponential_sum, _gauss, integral_weights,
+    LIMIT, _exponential_sum, _gauss, _plan, integral_weights,
 )
 from conftest import demo_scenario, leader_follower_scenario, pair_scenario, random_digraph
 from reference_stepper import reference_simulate
@@ -145,7 +145,7 @@ class TestNearTable:
         # last block of ``rows``, must give the Toeplitz product there.
         scenario = fractional_pair(lag, 1.0, horizon=0.2, orders=(1.0, 0.7))
         block = lag + 1
-        assert block_layout(scenario)[1:] == (block, span)
+        assert _plan(scenario)[2:] == (block, span, 1)
         tables = []
         solve = fracsolve._coupling_solve
         monkeypatch.setattr(fracsolve, "_coupling_solve",
@@ -230,7 +230,7 @@ def coupling_solve(scenario, size):
     with its coefficients and lags."""
     h = scenario.solver.step
     orders = [agent.order for agent in scenario.agents]
-    lags = np.array([round(agent.delay / h) for agent in scenario.agents])
+    lags = _plan(scenario)[1]
     w = scenario.graph.weights
     coef = -scenario.gain * np.array([h**order for order in orders])[:, None] * (
         np.diag(w.sum(axis=1)) - w)
@@ -528,7 +528,7 @@ def test_symmetric_fractional_pair_error_is_first_order(order, constant):
             fractional_pair(0, 1.0, orders=(order, order)), solver=SolverParams(step=h, horizon=1.0)
         )
         # One-step blocks, one solve per 48-step panel.
-        assert block_layout(scenario)[1:] == (1, 48) and group_steps(scenario) == 48
+        assert _plan(scenario)[2:] == (1, 48, 1)
         traj = simulate(scenario)
         errors.append(traj.states[0, -1] - traj.states[1, -1] - exact)
     for coarse, fine in zip(errors, errors[1:]):
@@ -596,39 +596,6 @@ def fractional_pair(lag_steps, gain, horizon=2.0, orders=(0.8, 0.9)):
     )
 
 
-def group_panels(scenario):
-    """Panels ``simulate`` advances at once: ``ceil(block / DIRECT_MAX)``
-    equal panels of a block longer than ``DIRECT_MAX`` (a long block,
-    advanced as one group), else 1."""
-    h = scenario.solver.step
-    steps = int(round(scenario.solver.horizon / h))
-    return -(-(min(round(min(a.delay / h, steps)) for a in scenario.agents) + 1) // DIRECT_MAX)
-
-
-def block_layout(scenario):
-    """Steps, block length and panel length of ``simulate``: blocks of
-    ``min lag + 1`` steps; panels of the longest multiple ``s`` of the block
-    within ``DIRECT_MAX`` steps that keeps ``|F| * n * s**2`` within
-    ``fracsolve.SOLVE_MAX``, where ``F`` are the agents with ``lag + 1 <
-    s``, or the equal panels of a long block."""
-    h = scenario.solver.step
-    steps = int(round(scenario.solver.horizon / h))
-    lags = [round(min(a.delay / h, steps)) for a in scenario.agents]
-    block = min(lags) + 1
-    span = max(
-        (s for s in range(block, DIRECT_MAX + 1, block)
-         if sum(lag + 1 < s for lag in lags) * len(lags) * s * s <= fracsolve.SOLVE_MAX),
-        default=block // group_panels(scenario),
-    )
-    return steps, block, span
-
-
-def group_steps(scenario):
-    """Steps ``simulate`` gathers, solves and checks at once: one panel of
-    short blocks, or the group of a long block's equal panels."""
-    return group_panels(scenario) * block_layout(scenario)[2]
-
-
 def short_lag_scenario(seed):
     """Random digraph, n in 2..8, mixed orders, every lag in 0..47 steps and
     one of them below 8, so each panel takes a solve; the run ends in a
@@ -648,7 +615,7 @@ def short_lag_scenario(seed):
         initial=tuple(rng.uniform(-1.0, 1.0, n)),
         solver=SolverParams(step=1e-3, horizon=1.0),
     )
-    _, _, span = block_layout(scenario)
+    span = _plan(scenario)[3]
     tail = int(rng.integers(1, span))
     return replace(scenario, solver=SolverParams(step=1e-3, horizon=(40 * span + tail) * 1e-3))
 
@@ -742,29 +709,30 @@ class TestReferenceEquivalence:
         assert max_relative_difference(traj, ref) <= 1e-12
 
     def test_panel_sizes(self):
-        # Six agents read their own panel: one 48-step solve fits SOLVE_MAX.
-        golden = parse_scenario(Path(__file__).parent / "golden" / "mixed_lags_8agent.json")
-        assert block_layout(golden)[1:] == (3, 48) and group_steps(golden) == 48
+        golden = Path(__file__).parent / "golden"
+        # Block, panel and panels per group. Six agents read their own
+        # panel: one 48-step solve fits SOLVE_MAX.
+        assert _plan(parse_scenario(golden / "mixed_lags_8agent.json"))[2:] == (3, 48, 1)
         # All eight do: the longest solve that fits is 45 steps.
-        short = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
-        assert block_layout(short)[1:] == (3, 45) and group_steps(short) == 45
-        assert block_layout(pair_scenario())[1:] == (1, 48) and group_steps(pair_scenario()) == 48
+        assert _plan(parse_scenario(golden / "short_lags_8agent.json"))[2:] == (3, 45, 1)
+        assert _plan(pair_scenario())[2:] == (1, 48, 1)
         # A long block advances its equal panels as one group.
-        assert block_layout(demo_scenario())[1:] == (601, 46) and group_panels(demo_scenario()) == 13
-        assert group_steps(demo_scenario()) == 13 * 46
-        wide = wide_short_lag_scenario()
-        assert block_layout(wide)[1:] == (2, 4) and group_steps(wide) == 4
+        assert _plan(demo_scenario())[2:] == (601, 46, 13)
+        assert _plan(parse_scenario(golden / "long_block_6agent.json"))[2:] == (81, 40, 2)
+        assert _plan(parse_scenario(golden / "symmetric_integer_4agent.json"))[2:] == (201, 40, 5)
+        assert _plan(wide_short_lag_scenario())[2:] == (2, 4, 1)
         # 64 agents on 189 edges: a solve of ten 2-step blocks fits.
         sparse = sparse_network_scenario()
         assert np.count_nonzero(sparse.graph.weights, axis=1).tolist() == [0] + [3] * 63
-        assert block_layout(sparse) == (600, 2, 20) and group_steps(sparse) == 20
+        steps, _, block, span, count = _plan(sparse)
+        assert (steps, block, span, count) == (600, 2, 20, 1)
 
     def test_panels_of_one_block_without_a_solve(self, monkeypatch):
         # A panel is one block, which solves nothing, when no longer
         # multiple of the block keeps the solve within SOLVE_MAX.
         monkeypatch.setattr(fracsolve, "SOLVE_MAX", 2**15)
         scenario = wide_short_lag_scenario()
-        assert group_steps(scenario) == 2
+        assert _plan(scenario)[2:] == (2, 2, 1)
         monkeypatch.setattr(fracsolve, "_coupling_solve",
                             lambda *args: pytest.fail("solved a panel of one block"))
         traj, ref = simulate(scenario), reference_simulate(scenario)
@@ -775,8 +743,8 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(24))
     def test_short_lags_solved_per_sub_block(self, seed, monkeypatch):
         scenario = short_lag_scenario(seed)
-        steps, block, span = block_layout(scenario)
-        assert block < span == group_steps(scenario) and steps % span
+        steps, _, block, span, count = _plan(scenario)
+        assert block < span and count == 1 and steps % span
         sizes = []
         solve = fracsolve._coupling_solve
         monkeypatch.setattr(
@@ -804,7 +772,7 @@ class TestReferenceEquivalence:
     def test_order_one_runs_without_transforms(self, scenario, monkeypatch):
         # Order 1 is the single rate 0 of the running sums, and every other
         # order a sum of exponentials: no run of any order takes an FFT.
-        steps, block, span = block_layout(scenario)
+        steps, _, _, span, _ = _plan(scenario)
         assert steps > 2 * span
 
         class NoTransforms:
@@ -829,7 +797,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_benchmark_shaped(self, seed):
         scenario = benchmark_shaped_scenario(seed)
-        assert block_layout(scenario)[1:] == (3, 48)
+        assert _plan(scenario)[2:] == (3, 48, 1)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape == (8, 5001)
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -841,7 +809,8 @@ class TestReferenceEquivalence:
         scenario = replace(
             scenario, agents=(replace(scenario.agents[0], delay=0.003), scenario.agents[1])
         )
-        assert block_layout(scenario) == (4000, 1, 48)
+        steps, _, block, span, count = _plan(scenario)
+        assert (steps, block, span, count) == (4000, 1, 48, 1)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -850,7 +819,7 @@ class TestReferenceEquivalence:
         # 300 steps, every lag 200: 201-step blocks, advanced five panels
         # (200 steps) at a time, the second group partial.
         scenario = demo_scenario(delay=0.2, step=1e-3, horizon=0.3)
-        assert block_layout(scenario)[1:] == (201, 40) and group_panels(scenario) == 5
+        assert _plan(scenario)[2:] == (201, 40, 5)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.states.shape == ref.states.shape
         assert max_relative_difference(traj, ref) <= 1e-12
@@ -903,7 +872,7 @@ class TestReferenceEquivalence:
         ids=["panel_last_block", "final_partial_panel"],
     )
     def test_divergence_over_the_panel(self, scenario, first_bad, final_panel):
-        steps, block, span = block_layout(scenario)
+        steps, _, block, span, _ = _plan(scenario)
         if final_panel:
             assert steps % span and first_bad - 1 >= steps - steps % span
         else:
@@ -919,7 +888,7 @@ class TestReferenceEquivalence:
         # at a time; the first state past LIMIT is the 64th of its block and
         # the tenth of its group.
         scenario = fractional_pair(127, 6925.0, horizon=20.0)
-        assert block_layout(scenario)[1:] == (128, 42) and group_panels(scenario) == 3
+        assert _plan(scenario)[2:] == (128, 42, 3)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert ref.diverged_at is not None
         assert traj.diverged_at == ref.diverged_at
@@ -947,8 +916,8 @@ class TestReferenceEquivalence:
         # input 415 in that panel.
         golden = parse_scenario(Path(__file__).parent / "golden" / "short_lags_8agent.json")
         scenario = replace(golden, gain=1000.0, solver=SolverParams(step=1e-3, horizon=0.42))
-        steps, block, span = block_layout(scenario)
-        assert (steps, block, span) == (420, 3, 45) and group_steps(scenario) == span
+        steps, _, block, span, count = _plan(scenario)
+        assert (steps, block, span, count) == (420, 3, 45, 1)
         assert steps - steps % span == 405
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
@@ -974,7 +943,7 @@ class TestReferenceEquivalence:
         # takes panel 7 as a Toeplitz product and panels 0 to 6 through the
         # running sums; its input 427 feeds step 428, the first past LIMIT.
         scenario = fractional_pair(3, 1e3)
-        steps, block, span = block_layout(scenario)
+        span = _plan(scenario)[3]
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape == (2, 428)
@@ -995,8 +964,8 @@ class TestReferenceEquivalence:
         ids=["partial_last_group", "lag_at_horizon", "lag_past_horizon"],
     )
     def test_long_blocks(self, scenario, panels, groups):
-        steps, block, span = block_layout(scenario)
-        assert group_panels(scenario) == panels and -(-steps // (panels * span)) == groups
+        steps, _, _, span, count = _plan(scenario)
+        assert count == panels and -(-steps // (count * span)) == groups
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape
@@ -1007,8 +976,8 @@ class TestReferenceEquivalence:
         # is checked once, after its products: the first state past LIMIT,
         # step 6424, is the 60th of its 148-step group, in its second panel.
         scenario = fractional_pair(149, 2000.0, horizon=10.0, orders=(1.0, 0.7))
-        steps, block, span = block_layout(scenario)
-        assert group_panels(scenario) == 4 and span == 37
+        _, _, _, span, count = _plan(scenario)
+        assert (span, count) == (37, 4)
         traj, ref = simulate(scenario), reference_simulate(scenario)
         assert traj.diverged_at == ref.diverged_at
         assert traj.states.shape == ref.states.shape == (2, 6424)

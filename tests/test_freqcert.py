@@ -225,7 +225,8 @@ class TestEigenLoci:
         agents = pair_agents(0.0, order=order)
         grid = omega_grid(agents, points=200)
         locus = 2.0 * grid ** -order * np.exp(-1j * order * math.pi / 2.0)
-        phase = _det_phase(grid, laplacian(pair_graph()), 1.0, agents)
+        orders, delays = np.array([(a.order, a.delay) for a in agents]).T
+        phase = _det_phase(grid, laplacian(pair_graph()), 1.0, orders, delays)
         assert np.allclose(phase, (1.0 + locus) / np.abs(1.0 + locus), rtol=0.0, atol=1e-12)
         result = eigen_loci(pair_graph(), agents, 1.0, grid)
         assert (result.crossings, result.jump, result.roots) == ((), 0, 0)
@@ -431,7 +432,8 @@ class TestLociMatchReference:
     @staticmethod
     def check_phase(g, agents, gain, grid):
         # det(diag((jw)**a) + gain*E*L) = prod((jw)**a_i) * det(I + G(jw)).
-        phase = _det_phase(grid, laplacian(g), gain, agents)
+        orders, delays = np.array([(a.order, a.delay) for a in agents]).T
+        phase = _det_phase(grid, laplacian(g), gain, orders, delays)
         offset = sum(a.order for a in agents) * math.pi / 2.0
         expected = characteristic_phase(grid, g, agents, gain) - offset
         assert np.abs(np.angle(phase * np.exp(-1j * expected))).max() <= 1e-9

@@ -59,6 +59,16 @@ class TestParse:
         save_scenario(scen, out)
         assert parse_scenario(out) == scen
 
+    def test_failed_atomic_write_keeps_target(self, tmp_path):
+        # A lone surrogate cannot be encoded: the write fails after the
+        # temp file exists, which must go, leaving the old target in place.
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            fracconsensus.scenario.atomic_write_text(target, "ok\ud800")
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
     def test_serialize_keeps_schema_keys(self):
         payload = scenario_to_dict(demo_scenario())
         assert set(payload) == {"n", "edges", "agents", "gain", "init", "solver"}
